@@ -68,38 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--workers", type=int, default=1, metavar="N",
                             help="study fan-out processes (0: one per CPU)")
 
-    perf = commands.add_parser(
-        "perf",
-        help="run the pinned kernel benchmark (repro.perf)")
-    perf.add_argument("--jobs", type=int, default=60,
-                      help="study jobs in the pinned workload (default 60)")
-    perf.add_argument("--seed", type=int, default=2009)
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timing repetitions per workload (best-of)")
-    perf.add_argument("--workers", type=int, default=1, metavar="N",
-                      help="worker processes for the study workload")
-    perf.add_argument("--shards", type=int, default=4, metavar="N",
-                      help="shard count for the online_sharded workload "
-                           "(its shards=1 baseline and the resulting "
-                           "speedup are measured in the same report)")
-    perf.add_argument("--json", metavar="PATH", default=None,
-                      help="write the benchmark report as JSON to PATH")
-    perf.add_argument("--compare", metavar="BASELINE", default=None,
-                      help="compare against a committed BENCH_*.json "
-                           "baseline (warn-only unless --strict)")
-    perf.add_argument("--threshold", type=float, default=None,
-                      help="fractional slowdown tolerated before a "
-                           "workload is flagged (default 0.30)")
-    perf.add_argument("--strict", action="store_true",
-                      help="exit non-zero when a workload regressed")
-    perf.add_argument("--workloads", metavar="NAME", nargs="+", default=None,
-                      help="run only the named pinned workloads (CI gates "
-                           "strictly on the fast micro scenarios this way)")
-    perf.add_argument("--profile", metavar="NAME", default=None,
-                      help="run one pinned workload under cProfile and "
-                           "print the top 25 functions by cumulative "
-                           "time instead of benchmarking")
-
     analyze = commands.add_parser(
         "analyze",
         help="verify schedule invariants (Fig. 2 worked example)")
@@ -243,80 +211,6 @@ def _run_analyze(skip_strategies: bool = False,
     return status
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    """Run the pinned kernel benchmark; optionally compare to a baseline.
-
-    The comparison is warn-only by default so CI noise cannot break a
-    build; ``--strict`` turns regressions into a non-zero exit.
-    """
-    import json
-
-    from .perf import (compare_reports, format_comparison, run_kernel_bench)
-    from .perf.bench import DEFAULT_THRESHOLD, check_plan_floors
-
-    if args.profile is not None:
-        return _profile_workload(args)
-
-    report = run_kernel_bench(jobs=args.jobs, seed=args.seed,
-                              repeats=args.repeats,
-                              workers=args.workers or None,
-                              workloads=args.workloads,
-                              shards=args.shards)
-    print(json.dumps(report, indent=2))
-
-    if args.json is not None:
-        from .io import dump_json
-
-        dump_json(report, args.json)
-
-    # The reuse-rate floors need no baseline: they gate an absolute
-    # property of the run (the plan cache actually serving the online
-    # scenarios), so --strict enforces them even without --compare.
-    floor_failures = check_plan_floors(report) if args.strict else []
-    for failure in floor_failures:
-        print(f"plan-cache floor violated: {failure}")
-
-    if args.compare is None:
-        return 1 if floor_failures else 0
-    with open(args.compare, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    rows = compare_reports(baseline, report, threshold=threshold)
-    print()
-    print(format_comparison(rows, threshold=threshold))
-    regressed = any(row["regressed"] for row in rows)
-    return 1 if ((regressed and args.strict) or floor_failures) else 0
-
-
-def _profile_workload(args: argparse.Namespace) -> int:
-    """Run one pinned bench workload under cProfile (top 25 cumulative).
-
-    Times nothing — a single pass of the chosen scenario is profiled so
-    the hot path can be read off directly (`repro perf --profile
-    strategy_generation`).
-    """
-    import cProfile
-    import pstats
-
-    from .perf.bench import BENCH_WORKLOADS, run_kernel_bench
-
-    name = args.profile
-    if name not in BENCH_WORKLOADS:
-        known = ", ".join(BENCH_WORKLOADS)
-        print(f"unknown workload {name!r}; choose one of: {known}")
-        return 2
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_kernel_bench(jobs=args.jobs, seed=args.seed, repeats=1,
-                     workers=args.workers or None, workloads=[name],
-                     shards=args.shards)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative").print_stats(25)
-    return 0
-
-
 def _run_study(args: argparse.Namespace) -> int:
     """Dispatch ``repro study run/ls/export/clean``.
 
@@ -394,8 +288,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_one(experiment_id, args.jobs, args.seed,
                      workers=args.workers or None)
         return 0
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "analyze":
         return _run_analyze(skip_strategies=args.skip_strategies,
                             lint_paths=args.lint)

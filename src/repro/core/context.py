@@ -36,7 +36,7 @@ limit).  :class:`SchedulingContext` owns all of them behind one object:
   drifted epochs seeds an incremental *repair* (warm-started
   regeneration, bit-identical to a cold replan);
 * one :meth:`stats` surface reports every cache's hit rate, size, and
-  eviction count for ``repro perf --json``.
+  eviction count.
 
 The module also defines the :class:`Scheduler` protocol —
 ``schedule(job, pool, calendars, context=...) -> SchedulingOutcome`` —
@@ -612,7 +612,7 @@ class SchedulingContext:
 
     def stats(self, counters: Optional[Mapping[str, int]] = None
               ) -> Dict[str, Dict[str, object]]:
-        """Per-cache statistics for ``repro perf --json``.
+        """Per-cache statistics: hit rates, sizes, and evictions.
 
         Structural numbers (entries, capacity, evictions) are tracked
         by the context itself; hit/miss counts come from the perf
@@ -650,8 +650,8 @@ class SchedulingContext:
             rebinds=int(counters.get("flow.plan_rebinds", 0)))
         # Reads split three ways: exact hits, warm repairs (a stale
         # sibling seeded regeneration), cold misses.  The reuse rate —
-        # reads the cache served exactly or seeded — is what the strict
-        # perf gate floors on the online scenarios.
+        # reads the cache served exactly or seeded — is what the flow
+        # tests floor on the template scenarios.
         reads = (int(plan_stats["hits"]) + int(plan_stats["repairs"])
                  + int(plan_stats["misses"]))
         plan_stats["reuse_rate"] = (

@@ -11,7 +11,7 @@ schedules (the dynamic reallocation mechanism) before re-planning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.context import SchedulingContext
 from ..core.job import Job
@@ -60,11 +60,6 @@ class PlannedDispatch:
     release: int
     manager: Optional["JobManager"]
     strategy: Optional[Strategy]
-    #: The manager subset the job was planned against (None = the whole
-    #: VO).  Sharded lanes route each job to its shard's managers;
-    #: conflict replans must compete over the same subset, or a retry
-    #: could silently widen a job's shard.
-    candidates: Optional[tuple["JobManager", ...]] = None
 
 
 class Metascheduler:
@@ -188,25 +183,19 @@ class Metascheduler:
         return plan_with_cache(manager, job, stype, release, calendars,
                                self.context.plans, epochs=epochs)
 
-    def plan_job(self, job: Job, stype: StrategyType, release: int,
-                 managers: Optional[Sequence[JobManager]] = None
-                 ) -> PlannedDispatch:
+    def plan_job(self, job: Job, stype: StrategyType,
+                 release: int) -> PlannedDispatch:
         """Phase one of dispatch: plan on every domain, pick the cheapest.
 
         Nothing is booked; the returned :class:`PlannedDispatch` can be
         committed later with :meth:`commit_planned`.  Plans go through
         the epoch-keyed cache, so re-planning the same job against
-        unchanged domain calendars is free.  ``managers`` restricts the
-        offer competition to a subset (a shard's managers — the DES
-        lane's in-process sharding); the default competes over the
-        whole VO, and the restriction is remembered on the dispatch so
-        conflict replans stay inside the same shard.
+        unchanged domain calendars is free.
         """
         calendars = self.grid.snapshot()
-        candidates = self.managers if managers is None else list(managers)
         best: Optional[tuple[JobManager, Strategy]] = None
         best_cost = float("inf")
-        for manager in candidates:
+        for manager in self.managers:
             strategy = self._plan_for(manager, job, stype, release,
                                       calendars)
             chosen = strategy.best_schedule()
@@ -215,12 +204,9 @@ class Metascheduler:
             if chosen.outcome.cost < best_cost:
                 best = (manager, strategy)
                 best_cost = chosen.outcome.cost
-        restriction = None if managers is None else tuple(managers)
         if best is None:
-            return PlannedDispatch(job, stype, release, None, None,
-                                   candidates=restriction)
-        return PlannedDispatch(job, stype, release, best[0], best[1],
-                               candidates=restriction)
+            return PlannedDispatch(job, stype, release, None, None)
+        return PlannedDispatch(job, stype, release, best[0], best[1])
 
     def commit_planned(self, planned: PlannedDispatch) -> FlowRecord:
         """Phase two of dispatch: commit a previously planned job.
@@ -252,8 +238,7 @@ class Metascheduler:
             # the entry stored when this job was first planned seeds a
             # warm regeneration instead of a cold replan.
             retries += 1
-            replanned = self.plan_job(job, stype, planned.release,
-                                      managers=planned.candidates)
+            replanned = self.plan_job(job, stype, planned.release)
             if replanned.manager is None:
                 return FlowRecord(job_id=job.job_id, stype=stype,
                                   domain=None, strategy=None, chosen=None,

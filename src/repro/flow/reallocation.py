@@ -36,9 +36,8 @@ def invalidates(event: BackgroundEvent, distribution: Distribution,
     Resolution is O(log placements-on-node) per event through a
     :class:`_NodeIntervalIndex` attached to the distribution on first
     query (placements are append-once at construction, so the index
-    never goes stale); the old per-event linear scan over every
-    placement dominated drift replays once speculation raised event
-    counts.
+    never goes stale); a per-event linear scan over every placement
+    would dominate drift replays with many events.
     """
     index = getattr(distribution, "_invalidation_index", None)
     if index is None:

@@ -15,10 +15,11 @@ shard.
 Two planning lanes produce bit-identical results (differential-tested
 in ``tests/flow/test_sharded.py``):
 
-* **in-process** (``workers=1``, the default and the benchmark lane) —
-  shards are planned one after another inside the parent; concurrency
-  is logical (each job only ever meets its own shard's domains, which
-  is where the speedup at ``--shards N`` comes from);
+* **in-process** (``workers=1``, the default and the lane the
+  end-to-end benchmark runs) — shards are planned one after another
+  inside the parent; concurrency is logical (each job only ever meets
+  its own shard's domains, which is where the speedup at ``shards=N``
+  comes from);
 * **process fan-out** (``workers>1``) — one
   :class:`~concurrent.futures.ProcessPoolExecutor` task per shard per
   window.  Workers regenerate their jobs from arrival indices (the
@@ -36,8 +37,8 @@ in ``tests/flow/test_sharded.py``):
 
 Worker-side perf counters are not dropped: each task returns a
 :meth:`~repro.perf.registry.PerfRegistry.delta` snapshot that the
-parent :meth:`~repro.perf.registry.PerfRegistry.merge`-s, so
-``repro perf`` reports the whole fleet.
+parent :meth:`~repro.perf.registry.PerfRegistry.merge`-s, so the
+parent's counters cover the whole fleet.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The paper's virtual organization is a federation of *domains*, each
 with its own job manager; nothing in the model requires one process to
 plan every domain's jobs serially.  This module supplies the pieces the
-sharded online engine (:mod:`repro.flow.sharded`) and the DES lane
-(:class:`repro.flow.simulation.OnlineSimulation` with
-``shards > 1``) are built from:
+sharded online engine (:mod:`repro.flow.sharded`) is built from, and
+the plan-cache read the metascheduler shares with it:
 
 * :func:`partition_domains` — a balanced, deterministic partition of
   the VO's domains into shards (a disjoint cover of the pool;

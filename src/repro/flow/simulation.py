@@ -22,10 +22,9 @@ from ..core.strategy import StrategyType
 from ..grid.data import default_policy_models
 from ..grid.environment import GridEnvironment
 from ..grid.node import NodeAgent
-from ..perf import PERF
 from ..sim import Environment, RandomStreams, TimeWeightedStat
 from .economics import VOEconomics
-from .metascheduler import FlowRecord, Metascheduler, PlannedDispatch
+from .metascheduler import FlowRecord, Metascheduler
 
 __all__ = ["OnlineConfig", "JobOutcome", "OnlineSimulation"]
 
@@ -65,31 +64,6 @@ class OnlineConfig:
     #: at the commit instant, so schedules never start before they are
     #: booked.
     plan_latency: int = 0
-    #: Speculative pre-planning: after every commitment that drifts the
-    #: environment, jobs sitting in the plan-latency window are
-    #: re-planned against the new epochs in zero simulated time (the
-    #: decision lag models metascheduler think-time, so pre-computing
-    #: during it is free).  Their own commit then finds warm plan-cache
-    #: entries instead of paying a cold replan on conflict.  A
-    #: speculation is invalidated only by further epoch drift — nothing
-    #: is thrown away wholesale; ``flow.speculative_fresh`` counts
-    #: speculations still fresh at commit time, ``flow.
-    #: speculative_wasted`` those overtaken by later drift (not a
-    #: ``*_hits``/``*_misses`` pair — the suffix is reserved for
-    #: context caches).  Strictly a cache-warming policy: outcomes are
-    #: bit-identical either way.
-    speculate: bool = False
-    #: Domain shards for the in-process concurrent lane.  With the
-    #: default 1, every arrival competes over the whole VO (the
-    #: historical behaviour, bit for bit).  With ``shards > 1`` the
-    #: VO's domains are partitioned (:func:`repro.flow.sharding.
-    #: partition_domains`) and arrival ``index`` is routed to shard
-    #: ``index % shards``: its offer competition — and any conflict
-    #: replans — stay inside that shard's managers, so per-arrival
-    #: planning cost scales down with the shard's domain count.  For
-    #: the process-parallel batch lane see
-    #: :class:`repro.flow.sharded.ShardedSimulation`.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -104,8 +78,6 @@ class OnlineConfig:
         if self.plan_latency < 0:
             raise ValueError(
                 f"plan_latency must be >= 0, got {self.plan_latency}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {self.shards}")
 
 
 @dataclass
@@ -159,31 +131,12 @@ class OnlineSimulation:
         #: Jobs planned-and-committed but not yet finished, over time.
         self.in_system = TimeWeightedStat()
         self.outcomes: list[JobOutcome] = []
-        #: Jobs planned but still in their plan-latency window, by id.
-        self._pending: dict[str, PlannedDispatch] = {}
-        #: Pool-wide epoch slice each pending job was last speculatively
-        #: re-planned against, by job id.
-        self._speculation_epochs: dict[str, tuple[int, ...]] = {}
         self._policy_models = default_policy_models()
         if job_factory is None:
             from ..workload.generator import generate_job
 
             job_factory = generate_job
         self._job_factory = job_factory
-        #: Per-shard manager groups for the in-process concurrent lane
-        #: (None when unsharded).  Managers are shared with the
-        #: metascheduler — routing only restricts each arrival's offer
-        #: competition; commits still serialize on the one grid.
-        self._shard_managers = None
-        if self.config.shards > 1:
-            from .sharding import partition_domains
-
-            partition = partition_domains(pool.domains(), self.config.shards)
-            by_domain = {manager.domain: manager
-                         for manager in self.metascheduler.managers}
-            self._shard_managers = [
-                tuple(by_domain[domain] for domain in group)
-                for group in partition]
 
     # ------------------------------------------------------------------
 
@@ -210,20 +163,15 @@ class OnlineSimulation:
                 return
             job = self._job_factory(self.streams.fork("jobs", index), index)
             stype = self.config.stypes[index % len(self.config.stypes)]
-            self._admit(job, stype, index)
+            self._admit(job, stype)
             index += 1
 
-    def _admit(self, job: Job, stype: StrategyType, index: int = 0) -> None:
+    def _admit(self, job: Job, stype: StrategyType) -> None:
         now = int(self.sim.now)
         latency = self.config.plan_latency
-        managers = None
-        if self._shard_managers is not None:
-            managers = self._shard_managers[index % len(self._shard_managers)]
         planned = self.metascheduler.plan_job(job, stype,
-                                              release=now + latency,
-                                              managers=managers)
+                                              release=now + latency)
         if latency:
-            self._pending[job.job_id] = planned
             self.sim.process(self._deferred_commit(planned, now, latency))
         else:
             self._commit_admitted(planned, now)
@@ -238,16 +186,6 @@ class OnlineSimulation:
         self._commit_admitted(planned, submitted)
 
     def _commit_admitted(self, planned, submitted: int) -> None:
-        self._pending.pop(planned.job.job_id, None)
-        speculated = self._speculation_epochs.pop(planned.job.job_id, None)
-        if speculated is not None and PERF.enabled:
-            # Fresh means no further commitment drifted the environment
-            # since the last speculative re-plan: a conflict replan now
-            # hits the warmed cache exactly.
-            if speculated == self._pool_epochs():
-                PERF.incr("flow.speculative_fresh")
-            else:
-                PERF.incr("flow.speculative_wasted")
         record = self.metascheduler.commit_planned(planned)
         outcome = JobOutcome(job_id=planned.job.job_id, stype=planned.stype,
                              submitted=submitted, committed=record.committed,
@@ -257,33 +195,6 @@ class OnlineSimulation:
             outcome.planned_makespan = record.chosen.outcome.makespan
             self.in_system.increment(self.sim.now)
             self.sim.process(self._execute(record, outcome))
-        if self.config.speculate and self._pending:
-            self._speculate_pending()
-
-    def _pool_epochs(self) -> tuple[int, ...]:
-        return self.grid.epoch_slice(self.pool.node_ids())
-
-    def _speculate_pending(self) -> None:
-        """Pre-plan the jobs waiting out their decision lag.
-
-        Runs in zero simulated time right after a commitment (the only
-        event that drifts epochs).  Jobs whose last speculation already
-        targeted the current epochs are skipped — epoch drift, not the
-        passage of events, is what invalidates a speculation.  The
-        returned plans are deliberately dropped: this only warms the
-        semantic plan cache (exact reuse/repair), so each job's real
-        commit decision — and every outcome — is bit-identical with
-        speculation on or off.
-        """
-        epochs = self._pool_epochs()
-        for planned in list(self._pending.values()):
-            job_id = planned.job.job_id
-            if self._speculation_epochs.get(job_id) == epochs:
-                continue
-            self.metascheduler.plan_job(planned.job, planned.stype,
-                                        planned.release,
-                                        managers=planned.candidates)
-            self._speculation_epochs[job_id] = epochs
 
     # ------------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from .policies import (
 )
 from .manager import Grant, LocalResourceManager, RequestRefused
 from .profile import AvailabilityProfile
-from .query import QueryError, ResourceQuery
 from .request import ResourceRequest
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "GangPolicy",
     "AvailabilityProfile",
     "ResourceRequest",
-    "ResourceQuery",
-    "QueryError",
     "LocalResourceManager",
     "Grant",
     "RequestRefused",

@@ -9,7 +9,7 @@ ResourceRequest` queries from the job managers above it:
 * a request with a ``reserved_start`` is an **advance reservation** for
   a specific window (and, optionally, a specific node);
 * a request without one is granted the earliest feasible slot on the
-  best admissible node (query requirements and ranks respected).
+  best admissible node (the performance floor respected).
 
 Grants are real calendar reservations; releasing a grant frees them.
 """
@@ -81,7 +81,7 @@ class LocalResourceManager:
 
         "Best" prefers *cheaper* (slower) nodes, matching the VO's
         economics: the job manager asks for more performance explicitly
-        (via ``min_performance`` or a query) when it needs it.
+        (via ``min_performance``) when it needs it.
         """
         nodes = [node for node in self.pool if request.admits(node)]
         nodes.sort(key=lambda n: (n.price_rate, n.node_id))

@@ -2,10 +2,9 @@
 
 "Each task is executed on a single node and ... the local management
 system interprets it as a job accompanied by a resource request."
-(Section 1.)  A :class:`ResourceRequest` is that accompanying query,
-playing the role JDL / ClassAds expressions play in the systems the
-paper surveys: node count, wall time, an optional fixed reservation
-window, and optional attribute constraints.
+(Section 1.)  A :class:`ResourceRequest` is that accompanying query:
+node count, wall time, an optional fixed reservation window, and an
+optional minimal node performance.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ class ResourceRequest:
     deadline: Optional[int] = None
     #: Minimal relative node performance (None: any node).
     min_performance: Optional[float] = None
-    #: Optional requirements expression in the resource-query language
-    #: (see :mod:`repro.local.query`), e.g. ``"group != 'slow'"``.
-    requirements: Optional[str] = None
     owner: str = "anonymous"
     #: Free-form attributes (job id, task id, strategy type, ...).
     attributes: Mapping[str, Any] = field(default_factory=dict)
@@ -72,14 +68,6 @@ class ResourceRequest:
             raise ValueError(
                 f"min_performance must lie in (0, 1], got "
                 f"{self.min_performance}")
-        if self.requirements is not None:
-            # Compile eagerly so malformed queries fail at build time.
-            from .query import ResourceQuery
-
-            object.__setattr__(self, "_query",
-                               ResourceQuery(self.requirements))
-        else:
-            object.__setattr__(self, "_query", None)
 
     @classmethod
     def from_placement(cls, job_id: str, placement: Placement,
@@ -99,12 +87,8 @@ class ResourceRequest:
 
     def admits(self, node: ProcessorNode) -> bool:
         """True if the node satisfies the request's constraints."""
-        if (self.min_performance is not None
-                and node.performance < self.min_performance):
-            return False
-        if self._query is not None and not self._query.matches(node):
-            return False
-        return True
+        return (self.min_performance is None
+                or node.performance >= self.min_performance)
 
     def to_batch_job(self, arrival: Optional[int] = None,
                      runtime: Optional[int] = None) -> BatchJob:

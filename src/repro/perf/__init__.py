@@ -1,21 +1,13 @@
-"""Performance instrumentation: counters, timers, pinned benchmarks.
+"""Performance instrumentation: counters and timers.
 
 The scheduling kernel reports into a process-global
 :class:`~repro.perf.registry.PerfRegistry` (``PERF``) when it is
 enabled; the hot paths guard every report behind ``PERF.enabled`` so
-the disabled-by-default cost is a single attribute read.  ``repro
-perf`` runs the pinned kernel workloads of :mod:`repro.perf.bench`
-and emits a ``BENCH_kernel.json``-style report that CI compares
-against the committed baseline.
+the disabled-by-default cost is a single attribute read.  The pinned
+end-to-end benchmark (``benchmarks/e2e``) reads these counters for its
+per-layer report.
 """
 
-from .bench import (
-    BENCH_SCHEMA_VERSION,
-    compare_reports,
-    format_comparison,
-    measure_speedup,
-    run_kernel_bench,
-)
 from .registry import PERF, PerfRegistry, cache_stats, derive_cache_stats
 
 __all__ = [
@@ -23,9 +15,4 @@ __all__ = [
     "PerfRegistry",
     "cache_stats",
     "derive_cache_stats",
-    "BENCH_SCHEMA_VERSION",
-    "run_kernel_bench",
-    "compare_reports",
-    "format_comparison",
-    "measure_speedup",
 ]

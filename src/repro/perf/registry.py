@@ -89,8 +89,8 @@ Counter names reported by the kernel
     same-structure variant exists but its release or epochs drifted,
     so its per-level assignments seed a warm-started regeneration that
     re-searches only what no longer fits (bit-identical to a cold
-    replan).  The plan-cache *reuse rate* the strict perf gate floors
-    is (hits + repairs) / (hits + repairs + misses).
+    replan).  The plan-cache *reuse rate* the flow tests floor is
+    (hits + repairs) / (hits + repairs + misses).
 ``flow.plan_coarse_hits`` / ``flow.plan_coarse_misses``
     The plan cache's coarse seed tier, consulted only on cold misses
     (no exact variant, no same-structure repair seed): a hit found a
@@ -99,14 +99,6 @@ Counter names reported by the kernel
     regeneration; a miss means generation ran fully cold.  The
     all-unique-jobs fallback: seeds only hint the warm start, so
     outcomes stay bit-identical either way.
-``flow.speculative_fresh`` / ``flow.speculative_wasted``
-    Speculative pre-planning outcomes in the online flow: pending jobs
-    re-planned during their decision lag whose warmed epochs were
-    still current at commit time vs. overtaken by later drift.
-    Deliberately *not* a ``*_hits``/``*_misses`` pair — speculation is
-    a cache-warming policy, not a cache, and the pair suffix is
-    reserved for :class:`~repro.core.context.SchedulingContext`
-    caches.
 ``critical_works.rank_cache_hits`` / ``..._misses``
     Reuse of the context's per-(job, model, pool, level) critical-works
     ranking.
@@ -151,11 +143,11 @@ def derive_cache_stats(counters: dict[str, int]
     Every counter pair named ``<cache>_hits`` / ``<cache>_misses``
     (either side may be absent and defaults to 0) yields one entry
     ``{<cache>: {"hits": h, "misses": m, "hit_rate": h / (h + m)}}``.
-    Used by the benchmark report and ``repro perf --json`` so cache
-    effectiveness is visible next to the timings.  Each derived name
-    must correspond to a :class:`~repro.core.context.SchedulingContext`
-    cache (``CONTEXT_CACHE_NAMES``) — the counter audit test keeps the
-    two in lockstep.
+    Used by the end-to-end benchmark report so cache effectiveness is
+    visible next to the timings.  Each derived name must correspond to
+    a :class:`~repro.core.context.SchedulingContext` cache
+    (``CONTEXT_CACHE_NAMES``) — the counter audit test keeps the two in
+    lockstep.
     """
     names = {name[: -len(suffix)]
              for name in counters
@@ -265,7 +257,7 @@ class PerfRegistry:
         is how sharded planning keeps worker-side cache hits visible:
         each worker collects into its own process-global registry,
         returns a snapshot delta with its results, and the parent
-        merges, so ``repro perf --json`` reports the whole fleet.
+        merges, so the parent's counters cover the whole fleet.
         """
         if isinstance(other, PerfRegistry):
             counters, timers = other.counters, other.timers

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate.
 
 A compact process-interaction DES kernel (generators as processes), plus
-shared-resource primitives and deterministic named random streams.  The
+a FIFO capacity resource and deterministic named random streams.  The
 rest of the library builds its Grid, local-batch, and job-flow simulations
 on top of this package.
 """
@@ -22,18 +22,7 @@ from .events import (
     StopProcess,
     Timeout,
 )
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Release, Request, Resource
 from .monitoring import Tally, TimeWeightedStat
 from .rng import RandomStreams, stable_hash
 
@@ -55,15 +44,8 @@ __all__ = [
     "URGENT",
     "NORMAL",
     "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
     "Request",
-    "PriorityRequest",
     "Release",
-    "Store",
-    "FilterStore",
-    "Container",
     "RandomStreams",
     "stable_hash",
     "Tally",

@@ -1,43 +1,16 @@
-"""Shared-resource primitives built on the event kernel.
+"""The shared-resource primitive built on the event kernel.
 
-These mirror the classic DES resource types:
-
-* :class:`Resource` — a counted resource with FIFO request queue (a
-  processor node's slot pool, a network link's channel set, ...);
-* :class:`PriorityResource` — like :class:`Resource` but the queue is
-  ordered by ``(priority, request time)``;
-* :class:`Store` — a FIFO buffer of Python objects (a job queue);
-* :class:`FilterStore` — a store whose consumers may wait for items
-  matching a predicate;
-* :class:`Container` — a continuous-level tank (budget pools, quotas).
+:class:`Resource` is a counted resource with a FIFO request queue — a
+processor node's slot pool.  It is all the Fig. 1 hierarchy needs:
+local batch systems are FCFS and nodes expose plain capacity.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
-
 from .engine import Environment
 from .events import Event
 
-__all__ = [
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "Preempted",
-    "PreemptiveResource",
-    "StorePut",
-    "StoreGet",
-    "Store",
-    "FilterStoreGet",
-    "FilterStore",
-    "ContainerPut",
-    "ContainerGet",
-    "Container",
-]
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -115,287 +88,10 @@ class Resource:
         self._trigger_requests()
         return Release(self, request)
 
-    def _sorted_queue(self) -> list[Request]:
-        """Queue in grant order (FIFO here; overridden in subclasses)."""
-        return self.queue
-
     def _trigger_requests(self) -> None:
         """Grant queued requests while free slots remain."""
         while self.queue and len(self.users) < self._capacity:
-            request = self._sorted_queue()[0]
-            self.queue.remove(request)
+            request = self.queue.pop(0)
             self.users.append(request)
             request.succeed()
 
-
-class PriorityRequest(Request):
-    """A request carrying a priority (lower value = more urgent)."""
-
-    _ids = itertools.count()
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0,
-                 preempt: bool = False):
-        self.priority = priority
-        self.seq = next(self._ids)
-        #: Whether this request may evict a lower-priority holder
-        #: (only honoured by :class:`PreemptiveResource`).
-        self.preempt = preempt
-        #: The process that issued the request (the preemption victim
-        #: handle when this request holds a preemptive resource).
-        self.process = resource.env.active_process
-        super().__init__(resource)
-
-    @property
-    def key(self) -> tuple[int, float, int]:
-        """Sort key: priority, then request time, then arrival order."""
-        return (self.priority, self.time, self.seq)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is served in priority order."""
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Claim a slot with the given priority."""
-        return PriorityRequest(self, priority)
-
-    def _sorted_queue(self) -> list[Request]:
-        return sorted(self.queue, key=lambda r: r.key)  # type: ignore[attr-defined]
-
-
-@dataclass(frozen=True)
-class Preempted:
-    """Interrupt cause delivered to an evicted resource holder.
-
-    Mirrors Condor's preemptive-resume model (the paper's ref. [3]):
-    the victim learns who evicted it and how long it had held the
-    resource, so it can resume with the remaining work elsewhere.
-    """
-
-    by: "PriorityRequest"
-    usage_since: float
-
-
-class PreemptiveResource(PriorityResource):
-    """A priority resource where urgent requests evict weaker holders.
-
-    A request made with ``preempt=True`` that finds no free slot evicts
-    the *worst* current holder if that holder's priority is strictly
-    weaker; the victim's process receives an
-    :class:`~repro.sim.events.Interrupt` whose cause is
-    :class:`Preempted`.
-    """
-
-    def request(self, priority: int = 0,  # type: ignore[override]
-                preempt: bool = True) -> PriorityRequest:
-        """Claim a slot, optionally evicting a weaker holder."""
-        return PriorityRequest(self, priority, preempt)
-
-    def _trigger_requests(self) -> None:
-        super()._trigger_requests()
-        while self.queue:
-            candidate = self._sorted_queue()[0]
-            if not getattr(candidate, "preempt", False) or not self.users:
-                return
-            victim = max(self.users,
-                         key=lambda r: r.key)  # type: ignore[attr-defined]
-            if victim.key <= candidate.key:  # type: ignore[attr-defined]
-                return
-            self.users.remove(victim)
-            process = getattr(victim, "process", None)
-            if process is not None and process.is_alive:
-                process.interrupt(
-                    Preempted(by=candidate, usage_since=victim.time))
-            self.queue.remove(candidate)
-            self.users.append(candidate)
-            candidate.succeed()
-
-
-class StorePut(Event):
-    """A pending deposit into a :class:`Store`."""
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    """A pending withdrawal from a :class:`Store`."""
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class Store:
-    """A FIFO buffer of arbitrary items with optional capacity."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._put_queue: list[StorePut] = []
-        self._get_queue: list[StoreGet] = []
-
-    def put(self, item: Any) -> StorePut:
-        """Deposit ``item``; triggers once there is room."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Withdraw the oldest item; triggers once one is available."""
-        return StoreGet(self)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
-    def _trigger(self) -> None:
-        """Match queued puts and gets until no more progress is possible."""
-        progress = True
-        while progress:
-            progress = False
-            for put_event in list(self._put_queue):
-                if self._do_put(put_event):
-                    self._put_queue.remove(put_event)
-                    progress = True
-                else:
-                    break
-            for get_event in list(self._get_queue):
-                if self._do_get(get_event):
-                    self._get_queue.remove(get_event)
-                    progress = True
-                else:
-                    break
-
-
-class FilterStoreGet(StoreGet):
-    """A withdrawal that only matches items satisfying ``predicate``."""
-
-    def __init__(self, store: "FilterStore",
-                 predicate: Callable[[Any], bool]):
-        self.predicate = predicate
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose gets may filter on item attributes."""
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None
-            ) -> FilterStoreGet:  # type: ignore[override]
-        """Withdraw the oldest item matching ``predicate`` (any item if None)."""
-        if predicate is None:
-            predicate = lambda item: True  # noqa: E731 - trivial default
-        return FilterStoreGet(self, predicate)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        predicate = getattr(event, "predicate", lambda item: True)
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[index]
-                event.succeed(item)
-                return True
-        # No matching item: leave the get pending but report "handled" so
-        # other pending gets still get a chance at the items.
-        return False
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for put_event in list(self._put_queue):
-                if self._do_put(put_event):
-                    self._put_queue.remove(put_event)
-                    progress = True
-                else:
-                    break
-            for get_event in list(self._get_queue):
-                if self._do_get(get_event):
-                    self._get_queue.remove(get_event)
-                    progress = True
-                    # Restart the scan: removal may unblock earlier gets.
-                    break
-
-
-class ContainerPut(Event):
-    """A pending deposit of ``amount`` into a :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    """A pending withdrawal of ``amount`` from a :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous stock of a single substance (quota units, budget)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} out of range [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_queue: list[ContainerPut] = []
-        self._get_queue: list[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """The current amount in the container."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; triggers once it fits under capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; triggers once the level suffices."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_queue:
-                event = self._put_queue[0]
-                if self._level + event.amount <= self.capacity:
-                    self._level += event.amount
-                    event.succeed()
-                    self._put_queue.pop(0)
-                    progress = True
-            if self._get_queue:
-                event = self._get_queue[0]
-                if self._level >= event.amount:
-                    self._level -= event.amount
-                    event.succeed()
-                    self._get_queue.pop(0)
-                    progress = True

@@ -139,64 +139,34 @@ def test_plan_latency_exercises_plan_cache():
     assert len(simulation.metascheduler.records) == len(outcomes)
 
 
-def crowd_config(**overrides):
-    """A dense window with a decision lag, so commits drift the
-    environment while other jobs sit in the latency window — the shape
-    speculative pre-planning exists for."""
-    kwargs = dict(horizon=120, mean_interarrival=1.5, busy_fraction=0.3,
-                  conflict_retries=2, plan_latency=6)
-    kwargs.update(overrides)
-    return OnlineConfig(**kwargs)
-
-
-def test_speculation_is_outcome_invariant():
-    """Speculative pre-planning is strictly a cache-warming policy:
-    every job outcome is bit-identical with it on or off."""
-    plain = OnlineSimulation(make_pool(), seed=5,
-                             config=crowd_config()).run()
-    speculated = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config(speculate=True)).run()
-
-    def flat(outcomes):
-        return [(o.job_id, o.stype, o.committed, o.reason,
-                 o.planned_makespan, o.actual_makespan) for o in outcomes]
-
-    assert flat(plain) == flat(speculated)
-
-
-def test_speculation_tallies_fresh_and_wasted():
-    from repro.perf import PERF
-
-    simulation = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config(speculate=True))
-    with PERF.collecting() as registry:
-        outcomes = simulation.run()
-        counters = dict(registry.counters)
-    assert any(o.committed for o in outcomes)
-    tallied = (counters.get("flow.speculative_fresh", 0)
-               + counters.get("flow.speculative_wasted", 0))
-    assert tallied > 0
-    # Speculation re-plans through the cache, never behind its back:
-    # the reserved cache pair stays owned by the plan cache alone.
-    assert "flow.speculative_hits" not in counters
-    assert "flow.speculative_misses" not in counters
-
-
-def test_speculation_off_by_default_and_emits_nothing():
-    from repro.perf import PERF
-
-    simulation = OnlineSimulation(make_pool(), seed=5,
-                                  config=crowd_config())
-    assert simulation.config.speculate is False
-    with PERF.collecting() as registry:
-        simulation.run()
-        counters = dict(registry.counters)
-    assert "flow.speculative_fresh" not in counters
-    assert "flow.speculative_wasted" not in counters
-
-
 def test_conflict_retries_reach_metascheduler():
     sim = OnlineSimulation(make_pool(), seed=5,
                            config=OnlineConfig(horizon=10,
                                                conflict_retries=3))
     assert sim.metascheduler.conflict_retries == 3
+
+
+def test_template_flash_crowd_reuse_floor():
+    """A two-template flash crowd is served mostly from the plan cache.
+
+    Scaled-down shape of the plan-reuse scenario: dense arrivals of two
+    job templates (70/30) with a long decision lag, so most commits
+    land against a mostly-frozen environment and same-template arrivals
+    resolve to exact hits or warm repairs.  A disabled or mis-keyed
+    plan cache drops the reuse rate far below the floor.
+    """
+    from repro.perf import PERF
+    from repro.workload.generator import TemplateWorkload
+
+    config = OnlineConfig(horizon=30, mean_interarrival=0.12,
+                          busy_fraction=0.25, conflict_retries=2,
+                          plan_latency=10,
+                          stypes=(StrategyType.S1, StrategyType.S2))
+    pool = generate_pool(RandomStreams(2009).stream("flash_crowd_pool"))
+    simulation = OnlineSimulation(pool, seed=2009, config=config,
+                                  job_factory=TemplateWorkload((0.7, 0.3)))
+    with PERF.collecting() as registry:
+        simulation.run()
+        counters = dict(registry.counters)
+    stats = simulation.context.stats(counters)
+    assert stats["flow.plan_cache"]["reuse_rate"] >= 0.50

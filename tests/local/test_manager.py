@@ -44,16 +44,6 @@ def test_min_performance_constrains_choice():
     assert grant.node_id == 2
 
 
-def test_query_requirements_respected():
-    manager = make_manager()
-    grant = manager.handle(
-        ResourceRequest("r1", wall_time=4, requirements="group == 'fast'"))
-    assert grant.node_id == 1
-    with pytest.raises(RequestRefused):
-        manager.handle(ResourceRequest(
-            "r2", wall_time=4, requirements="performance > 2"))
-
-
 def test_advance_reservation_at_fixed_start():
     manager = make_manager()
     request = ResourceRequest("r1", wall_time=5, earliest_start=10,
@@ -125,7 +115,7 @@ def test_handle_all_is_atomic():
     manager = make_manager()
     good = ResourceRequest("a", wall_time=2)
     impossible = ResourceRequest("b", wall_time=2,
-                                 requirements="performance > 2")
+                                 attributes={"node_id": 99})
     with pytest.raises(RequestRefused):
         manager.handle_all([good, impossible])
     # The first grant was rolled back.

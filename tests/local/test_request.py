@@ -49,30 +49,6 @@ def test_admits_performance_constraint():
         ProcessorNode(node_id=3, performance=0.1))
 
 
-def test_requirements_query_constrains_admission():
-    request = ResourceRequest("r", requirements="group != 'slow'")
-    assert request.admits(ProcessorNode(node_id=1, performance=0.9))
-    assert not request.admits(ProcessorNode(node_id=2, performance=0.33))
-
-
-def test_requirements_combine_with_min_performance():
-    request = ResourceRequest("r", min_performance=0.6,
-                              requirements="domain == 'alpha'")
-    good = ProcessorNode(node_id=1, performance=0.7, domain="alpha")
-    wrong_domain = ProcessorNode(node_id=2, performance=0.7, domain="beta")
-    too_slow = ProcessorNode(node_id=3, performance=0.5, domain="alpha")
-    assert request.admits(good)
-    assert not request.admits(wrong_domain)
-    assert not request.admits(too_slow)
-
-
-def test_malformed_requirements_fail_at_build_time():
-    from repro.local.query import QueryError
-
-    with pytest.raises(QueryError):
-        ResourceRequest("r", requirements="(performance >")
-
-
 def test_to_batch_job():
     request = ResourceRequest("r", width=2, wall_time=8, earliest_start=4)
     batch = request.to_batch_job()

@@ -1,15 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Store, FilterStore, Container."""
+"""Unit tests for Resource and its Request/Release events."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -99,209 +92,3 @@ def test_request_cancel_from_queue():
     assert handle.value == "gave up"
     assert not resource.queue
 
-
-def test_priority_resource_serves_urgent_first():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env, resource):
-        with resource.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(env, resource, name, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder(env, resource))
-    env.process(user(env, resource, "low", 5, 1))
-    env.process(user(env, resource, "high", 1, 2))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-
-    def producer(env, store):
-        for i in range(3):
-            yield store.put(i)
-            yield env.timeout(1)
-
-    def consumer(env, store, out):
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-
-    out = []
-    env.process(producer(env, store))
-    env.process(consumer(env, store, out))
-    env.run()
-    assert out == [0, 1, 2]
-
-
-def test_store_capacity_blocks_producer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env, store):
-        yield store.put("x")
-        log.append(("put-x", env.now))
-        yield store.put("y")
-        log.append(("put-y", env.now))
-
-    def consumer(env, store):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert log == [("put-x", 0), ("put-y", 5)]
-
-
-def test_store_get_blocks_until_item():
-    env = Environment()
-    store = Store(env)
-
-    def consumer(env, store):
-        item = yield store.get()
-        return (item, env.now)
-
-    def producer(env, store):
-        yield env.timeout(7)
-        yield store.put("late")
-
-    handle = env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert handle.value == ("late", 7)
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-
-    def producer(env, store):
-        yield store.put({"size": 1})
-        yield store.put({"size": 5})
-
-    def consumer(env, store):
-        item = yield store.get(lambda it: it["size"] > 3)
-        return item["size"]
-
-    handle = env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert handle.value == 5
-    assert store.items == [{"size": 1}]
-
-
-def test_filter_store_waits_for_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-
-    def consumer(env, store):
-        item = yield store.get(lambda it: it == "wanted")
-        return (item, env.now)
-
-    def producer(env, store):
-        yield store.put("other")
-        yield env.timeout(4)
-        yield store.put("wanted")
-
-    handle = env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert handle.value == ("wanted", 4)
-
-
-def test_filter_store_default_predicate_takes_any():
-    env = Environment()
-    store = FilterStore(env)
-
-    def proc(env, store):
-        yield store.put("a")
-        item = yield store.get()
-        return item
-
-    handle = env.process(proc(env, store))
-    env.run()
-    assert handle.value == "a"
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=10, init=5)
-
-    def proc(env, tank):
-        yield tank.get(3)
-        assert tank.level == 2
-        yield tank.put(8)
-        return tank.level
-
-    handle = env.process(proc(env, tank))
-    env.run()
-    assert handle.value == 10
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-
-    def consumer(env, tank):
-        yield tank.get(10)
-        return env.now
-
-    def producer(env, tank):
-        for _ in range(10):
-            yield env.timeout(1)
-            yield tank.put(1)
-
-    handle = env.process(consumer(env, tank))
-    env.process(producer(env, tank))
-    env.run()
-    assert handle.value == 10
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=5, init=5)
-
-    def producer(env, tank):
-        yield tank.put(2)
-        return env.now
-
-    def consumer(env, tank):
-        yield env.timeout(3)
-        yield tank.get(2)
-
-    handle = env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert handle.value == 3
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)

@@ -5,7 +5,6 @@ import doctest
 import pytest
 
 import repro.core.units
-import repro.local.query
 import repro.sim.engine
 import repro.sim.rng
 
@@ -13,7 +12,6 @@ MODULES = [
     repro.core.units,
     repro.sim.rng,
     repro.sim.engine,
-    repro.local.query,
 ]
 
 
