@@ -80,8 +80,7 @@ _CACHE_NAME_HINTS = ("cache", "memo", "_tables", "_stacks", "matrices")
 
 #: SchedulingContext caches whose keys embed a calendar content version
 #: or a domain epoch slice; reads must visibly involve one (REP008).
-_VERSIONED_CACHES = frozenset({"fit_cache", "plans", "_gap_tables",
-                               "_stacks"})
+_VERSIONED_CACHES = frozenset({"plans", "_gap_tables", "_stacks"})
 
 #: Identifier substrings that count as a version/epoch guard (REP008).
 _GUARD_TOKENS = ("version", "epoch")

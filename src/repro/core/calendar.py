@@ -20,7 +20,7 @@ import numpy as np
 from ..perf import PERF
 
 __all__ = ["Reservation", "ReservationConflict", "ReservationCalendar",
-           "GapTable", "GAP_HORIZON"]
+           "GapTable", "GAP_HORIZON", "FitWitnesses"]
 
 #: Sentinel end of a calendar's last (unbounded) gap.  Far beyond any
 #: realistic slot value, yet small enough that gap ends offset by a
@@ -35,6 +35,11 @@ GAP_HORIZON = 1 << 40
 #: ``(node, version, ...)`` are therefore exact and invalidate in
 #: O(nodes touched) — a mutated node simply stops matching its old keys.
 _VERSION_CLOCK = itertools.count(1)
+
+#: Interval-witness bucket for one ``(duration, deadline)`` query shape:
+#: parallel sorted lists of probed ``earliest`` slots and the answers
+#: (None: no fit) — see :meth:`ReservationCalendar.fit_witnesses`.
+FitWitnesses = tuple[list[int], list[Optional[int]]]
 
 #: Sort key for end-based bisection (ends are sorted too: reservations
 #: are disjoint and start-sorted, so ``end_i <= start_{i+1} < end_{i+1}``).
@@ -108,15 +113,16 @@ class ReservationCalendar:
 
     What-if copies (:meth:`copy`) are copy-on-write: the clone shares
     the underlying lists until either side mutates, so snapshotting a
-    large calendar that is then only queried costs O(1).
+    large calendar that is then only queried costs O(1).  Each content
+    version also owns the :meth:`fit_witnesses` store, shared by the
+    clones of that version and replaced by every mutation.
     """
 
     def __init__(self, reservations: Iterable[Reservation] = ()):
         self._reservations: list[Reservation] = []
         self._starts: list[int] = []
         self._shared = False
-        # lint: shared-state — process-local identity tokens, never shared
-        self._version = next(_VERSION_CLOCK)
+        self._new_version()
         for reservation in sorted(reservations, key=lambda r: r.start):
             self.reserve(reservation.start, reservation.end, reservation.tag)
 
@@ -149,8 +155,7 @@ class ReservationCalendar:
         calendar._reservations = reservations
         calendar._starts = [r.start for r in reservations]
         calendar._shared = False
-        # lint: shared-state — process-local version source (see __init__)
-        calendar._version = next(_VERSION_CLOCK)
+        calendar._new_version()
         return calendar
 
     @property
@@ -164,6 +169,19 @@ class ReservationCalendar:
         O(nodes touched) invalidation.
         """
         return self._version
+
+    def _new_version(self) -> None:
+        """Move to a fresh content version with an empty witness store.
+
+        Construction and every mutation land here, so a witness store
+        never outlives the content it was computed on: the clones of one
+        version share it, and refcounting frees it once the last of them
+        has mutated or died.
+        """
+        # lint: shared-state — process-local identity tokens, never shared
+        self._version = next(_VERSION_CLOCK)
+        # lint: context-cache — exact per-version memo, replaced on every version bump
+        self._fit_memo: dict[tuple[int, int], FitWitnesses] = {}
 
     def __len__(self) -> int:
         return len(self._reservations)
@@ -190,6 +208,7 @@ class ReservationCalendar:
         clone._starts = self._starts
         clone._shared = True
         clone._version = self._version
+        clone._fit_memo = self._fit_memo
         self._shared = True
         return clone
 
@@ -290,6 +309,26 @@ class ReservationCalendar:
             return cursor
         return None
 
+    def fit_witnesses(self, duration: int, deadline: int) -> FitWitnesses:
+        """This version's interval witnesses for one query shape.
+
+        :meth:`earliest_fit` is monotone in ``earliest`` for a fixed
+        (content, duration, deadline): an answer ``s1`` at ``e1`` also
+        answers every query in ``[e1, s1]`` (no earlier slot exists past
+        ``e1``, and ``s1`` still fits), and a failure at ``e1`` answers
+        every query at or past ``e1``.  The returned ``(keys, starts)``
+        pair holds such witnesses — probed ``earliest`` slots, sorted,
+        and their answers — for callers to read and extend (see
+        ``find_fit`` in :func:`repro.core.dp.allocate_chain`).  Exact
+        for this content version whoever asks, and freed with it.
+        """
+        key = (duration, deadline)
+        witnesses = self._fit_memo.get(key)
+        if witnesses is None:
+            witnesses = ([], [])
+            self._fit_memo[key] = witnesses
+        return witnesses
+
     def _implied_horizon(self, earliest: int, duration: int) -> int:
         """A horizon guaranteed to contain a fit when no deadline is given."""
         last_end = self._reservations[-1].end if self._reservations else 0
@@ -348,8 +387,7 @@ class ReservationCalendar:
         index = bisect.bisect_left(self._starts, start)
         self._reservations.insert(index, reservation)
         self._starts.insert(index, start)
-        # lint: shared-state — process-local version source (see __init__)
-        self._version = next(_VERSION_CLOCK)
+        self._new_version()
         return reservation
 
     def release(self, reservation: Reservation) -> None:
@@ -361,8 +399,7 @@ class ReservationCalendar:
         self._materialize()
         del self._reservations[index]
         del self._starts[index]
-        # lint: shared-state — process-local version source (see __init__)
-        self._version = next(_VERSION_CLOCK)
+        self._new_version()
 
     def release_tag(self, tag: str) -> int:
         """Remove every reservation with the given tag; returns the count."""
@@ -372,8 +409,7 @@ class ReservationCalendar:
             self._reservations = keep
             self._starts = [r.start for r in keep]
             self._shared = False
-            # lint: shared-state — process-local version source (see __init__)
-            self._version = next(_VERSION_CLOCK)
+            self._new_version()
         return removed
 
     def release_prefix(self, prefix: str) -> int:
@@ -392,8 +428,7 @@ class ReservationCalendar:
             self._reservations = keep
             self._starts = [r.start for r in keep]
             self._shared = False
-            # lint: shared-state — process-local version source (see __init__)
-            self._version = next(_VERSION_CLOCK)
+            self._new_version()
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

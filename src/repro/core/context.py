@@ -7,7 +7,10 @@ rankings, source→sink path enumerations, and the metascheduler's
 epoch-keyed plan cache — each with its own plumbing (module globals,
 scheduler attributes, optional keyword arguments threaded through the
 DP) and its own ad-hoc eviction (wholesale ``clear()`` at a size
-limit).  :class:`SchedulingContext` owns all of them behind one object:
+limit).  :class:`SchedulingContext` owns all of them behind one object
+except the interval witnesses, which live on the calendar content
+version they describe (:meth:`~repro.core.calendar.ReservationCalendar.
+fit_witnesses`) and die with it:
 
 * every cache keyed on data that pins its inputs exactly — calendar
   *content versions* (process-globally unique, shared by copy-on-write
@@ -77,10 +80,6 @@ __all__ = ["LruCache", "PlanCache", "SchedulingContext", "Scheduler",
 K = TypeVar("K")
 V = TypeVar("V")
 
-#: Interval-witness fit buckets retained before LRU eviction; buckets
-#: hold a handful of (earliest, start) witnesses each, so this caps the
-#: memo in the tens of MB.
-DEFAULT_FIT_CAPACITY = 1 << 16
 #: Gap tables retained (one per live calendar content version).
 DEFAULT_GAP_TABLE_CAPACITY = 8192
 #: Stacked gap-table array sets retained (one per version sequence).
@@ -171,11 +170,6 @@ class LruCache(Generic[K, V]):
                 f"/{self.capacity}, {self.evictions} evicted>")
 
 
-#: Interval-witness bucket: parallel sorted (earliest, start) lists
-#: (see ``find_fit`` in :func:`repro.core.dp.allocate_chain`).
-_FitBucket = Tuple[List[int], List[Optional[int]]]
-#: Fit-cache key: (node id, calendar version, duration, deadline).
-_FitKey = Tuple[int, int, int, int]
 #: Plan-skeleton key: (job shape hash, strategy family, domain).
 _SkeletonKey = Tuple[str, "StrategyType", str]
 #: Concrete-variant key: (structural hash, release, domain epoch slice).
@@ -376,16 +370,10 @@ class SchedulingContext:
     only ever changes speed, never results.
     """
 
-    def __init__(self, fit_capacity: int = DEFAULT_FIT_CAPACITY,
-                 gap_table_capacity: int = DEFAULT_GAP_TABLE_CAPACITY,
+    def __init__(self, gap_table_capacity: int = DEFAULT_GAP_TABLE_CAPACITY,
                  stack_capacity: int = DEFAULT_STACK_CAPACITY,
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
                  struct_capacity: int = DEFAULT_STRUCT_CAPACITY) -> None:
-        #: Interval-witness ``earliest_fit`` memo, bucketed on (node,
-        #: calendar version, duration, deadline); consumed directly by
-        #: the DP inner loop (:func:`repro.core.dp.allocate_chain`).
-        self.fit_cache: LruCache[_FitKey, _FitBucket] = LruCache(
-            "dp.fit_cache", fit_capacity)
         #: The flow layer's two-tier semantic plan cache (shape-keyed
         #: skeletons holding epoch-keyed concrete strategies), consumed
         #: by :class:`~repro.flow.metascheduler.Metascheduler`.
@@ -636,7 +624,10 @@ class SchedulingContext:
             return entry
 
         out: Dict[str, Dict[str, object]] = {}
-        for lru in (self.fit_cache, self._gap_tables, self._stacks):
+        # Fit witnesses live on the calendar versions (freed with them),
+        # so the context reports only their hit counters.
+        out["dp.fit_cache"] = pair("dp.fit_cache", policy="calendar-version")
+        for lru in (self._gap_tables, self._stacks):
             out[lru.name] = pair(lru.name, policy="lru",
                                  entries=len(lru), capacity=lru.capacity,
                                  evictions=lru.evictions)
@@ -692,8 +683,8 @@ class SchedulingContext:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<SchedulingContext fit={len(self.fit_cache)} "
-                f"gaps={len(self._gap_tables)} stacks={len(self._stacks)} "
+        return (f"<SchedulingContext gaps={len(self._gap_tables)} "
+                f"stacks={len(self._stacks)} "
                 f"plans={len(self.plans)} "
                 f"structs={len(self._struct_caches)}>")
 

@@ -89,9 +89,9 @@ class CriticalWorksScheduler:
         globally via ``tests/conftest.py``.
     context:
         The :class:`~repro.core.context.SchedulingContext` holding
-        every cache the scheduler and its DP calls consult (fit memo,
-        transfer lags and matrices, durations, rankings, job paths,
-        gap tables).  Callers that schedule through several schedulers
+        every cache the scheduler and its DP calls consult (transfer
+        lags and matrices, durations, rankings, job paths, gap
+        tables; fit witnesses live on the calendars).  Callers that schedule through several schedulers
         or across arrivals pass one shared context; by default the
         scheduler owns a private one.  All context caches are exact,
         so sharing never changes results.
@@ -133,8 +133,8 @@ class CriticalWorksScheduler:
         #: Invariant hook: verify every outcome before returning it.
         self.self_check = self_check
         #: Session cache layer; see the class docstring.  Everything
-        #: the pre-context scheduler owned privately — fit memo,
-        #: rankings, transfer lags/matrices, durations — now lives
+        #: the pre-context scheduler owned privately — rankings,
+        #: transfer lags/matrices, durations — now lives
         #: here, scoped by (job, model, pool) keys so a shared context
         #: stays exact across schedulers.
         self.context = context if context is not None else SchedulingContext()

@@ -20,18 +20,17 @@ so each transition considers one start per node.
 
 Incremental generation (two orthogonal mechanisms, both exact):
 
-* the ``context`` fit cache — a shared memo of ``earliest_fit``
-  answers keyed on the owning calendar's content *version* (see
-  :attr:`~repro.core.calendar.ReservationCalendar.version`), owned by
-  the caller's :class:`~repro.core.context.SchedulingContext`.  Each
-  ``(node, version, duration, deadline)`` bucket holds *interval
-  witnesses*: one computed fit at ``e1`` answering ``s1`` covers every
-  query in ``[e1, s1]``, and one failure covers every query at or past
-  its probe — both consequences of ``earliest_fit``'s monotonicity in
-  ``earliest``.  Entries written by earlier calls — previous estimation
-  levels, previous arrivals — stay valid exactly as long as the node is
-  untouched, so invalidation is O(nodes touched): a mutated node simply
-  stops matching its old keys.
+* fit witnesses — a memo of ``earliest_fit`` answers owned by each
+  calendar content *version* (see :meth:`~repro.core.calendar.
+  ReservationCalendar.fit_witnesses`).  Each ``(duration, deadline)``
+  bucket holds *interval witnesses*: one computed fit at ``e1``
+  answering ``s1`` covers every query in ``[e1, s1]``, and one failure
+  covers every query at or past its probe — both consequences of
+  ``earliest_fit``'s monotonicity in ``earliest``.  Witnesses written
+  by earlier calls — previous estimation levels, previous arrivals,
+  other contexts — serve every copy-on-write clone of the version, and
+  a mutation starts the node on a fresh store, so invalidation is
+  O(nodes touched) and a dead version's witnesses die with it.
 
 * ``hint`` — a warm start: the adjacent estimation level's allocation,
   re-evaluated on the current calendars to obtain a feasible
@@ -169,14 +168,15 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         bit-identical, so the choice is purely about speed.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
-        which owns every cache this function consults: the
-        interval-witness fit cache, the per-(job, model) transfer-lag
-        memo, the per-job duration memo, the per-(job, model, pool)
-        lag matrices of the batch engine, and the gap-table/stack
-        caches.  All exact, so sharing a context across calls, levels,
-        and jobs never changes results — only speed.  ``None`` runs
-        the call cacheless (and, in ``auto`` mode, scalar: no
-        materialized gap tables exist to batch over).
+        which owns the per-job caches this function consults: the
+        per-(job, model) transfer-lag memo, the per-job duration memo,
+        the per-(job, model, pool) lag matrices of the batch engine,
+        and the gap-table/stack caches.  All exact, so sharing a
+        context across calls, levels, and jobs never changes results —
+        only speed.  ``None`` skips those caches (and, in ``auto``
+        mode, runs scalar: no materialized gap tables exist to batch
+        over); fit witnesses live on the calendars and serve either
+        way.
 
         .. versionchanged:: PR 5
            replaces the removed ``fit_cache`` / ``transfer_cache`` /
@@ -219,17 +219,14 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # enough to be exact: lags per (job, transfer model), durations per
     # job (pure value keys), lag matrices per (job, model, pool) — the
     # batch engine indexes them by pool position.  Without a context
-    # the call runs cacheless: a private per-call lag dict (the DP asks
-    # for the same lag once per state expansion), no fit memo, no
-    # batched tables.
+    # the call runs on a private per-call lag dict (the DP asks for the
+    # same lag once per state expansion) and no batched tables.
     if context is not None:
-        fit_cache = context.fit_cache
         transfer_cache = context.transfer_lags(job, transfer_model)
         duration_cache = context.durations(job)
         transfer_matrices = context.transfer_matrices(
             job, transfer_model, pool)
     else:
-        fit_cache = None
         transfer_cache = {}
         duration_cache = None
         transfer_matrices = None
@@ -248,32 +245,18 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         return lag
 
     def find_fit(row: list, earliest: int) -> Optional[int]:
-        """``earliest_fit`` through the row's interval-witness memo.
+        """``earliest_fit`` through the row's interval witnesses.
 
-        Witnesses exploit the monotone structure of ``earliest_fit``
-        for a fixed (calendar version, duration, deadline): an answer
-        ``(e1, s1)`` also answers every query in ``[e1, s1]`` with
-        ``s1`` (no earlier slot exists past ``e1``, and ``s1`` still
-        fits), and a failed probe at ``e1`` proves failure for every
-        query at or past ``e1`` (shrinking the search window never
-        creates slots).  One computed fit therefore covers a whole
-        interval of ``earliest`` values — exact, never heuristic.
-
-        The row's bucket of the shared cache is attached on first use;
-        rows never queried through the scalar path (batch-engine rows,
+        One computed fit covers a whole interval of ``earliest`` values
+        (see :meth:`~repro.core.calendar.ReservationCalendar.
+        fit_witnesses`) — exact, never heuristic.  The row's bucket of
+        its calendar version's store is attached on first use; rows
+        never queried through the scalar path (batch-engine rows,
         pruned rows) skip the bucket lookup entirely.
         """
         fits = row[8]
         if fits is None:
-            if fit_cache is None:
-                return row[2].earliest_fit(row[4], earliest=earliest,
-                                           deadline=row[6])
-            calendar_version = row[3]
-            fit_key = (row[1], calendar_version, row[4], row[6])
-            fits = fit_cache.get(fit_key)
-            if fits is None:
-                fits = ([], [])
-                fit_cache[fit_key] = fits
+            fits = row[2].fit_witnesses(row[4], row[6])
             row[8] = fits
         keys, starts = fits
         position = bisect_right(keys, earliest) - 1
@@ -308,11 +291,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     #             a row once on first touch (or eagerly when warm-start
     #             pruning needs every row for its lower bounds), so
     #             rows the DP never visits are never priced.  ``fits``
-    #             is the row's interval-witness bucket of the shared
-    #             fit cache — a (keys, starts) pair of parallel sorted
-    #             lists.  Node, calendar version, duration, and ceiling
-    #             are all fixed per row, so they live in the bucket key
-    #             once instead of in every lookup.
+    #             is the row's interval-witness bucket of its calendar
+    #             version's store — a (keys, starts) pair of parallel
+    #             sorted lists.  Duration and ceiling are fixed per row,
+    #             so they live in the bucket key once instead of in
+    #             every lookup.
     node_info = [(node, calendars[node.node_id]) for node in nodes]
     uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
     if context is not None and allowed_nodes is None:
@@ -435,7 +418,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 ceiling = shared_ceiling
             if floor + duration > ceiling:
                 continue
-            # The fit-cache bucket (row[8]) is attached lazily by
+            # The fit-witness bucket (row[8]) is attached lazily by
             # ``find_fit`` on the row's first scalar query: rows served
             # by the batch kernel — and rows the scalar DP prunes away —
             # never pay the bucket lookup.
@@ -804,7 +787,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         best_cost = best_finish = _INFINITY
         best_node = best_start = best_end = None
         for row in candidates[task_id]:
-            (node, node_id, calendar, version, duration, floor, end_bound,
+            (node, node_id, calendar, _, duration, floor, end_bound,
              row_cost, fits) = row
             if no_incoming:
                 start_bound = ready
@@ -847,34 +830,25 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # inner loop, so the interval-witness lookup avoids a call.
             # Buckets attach lazily on the row's first query — rows the
             # DP never reaches stay bucket-free.
-            if fits is None and fit_cache is not None:
-                fit_key = (node_id, version, duration, end_bound)
-                fits = fit_cache.get(fit_key)
-                if fits is None:
-                    fits = ([], [])
-                    fit_cache[fit_key] = fits
-                row[8] = fits
             if fits is None:
-                # lint: scalar-fallback (no fit cache: bare query)
+                fits = calendar.fit_witnesses(duration, end_bound)
+                row[8] = fits
+            keys, starts = fits
+            position = bisect_right(keys, start_bound) - 1
+            if position >= 0 and (
+                    (cached := starts[position]) is None
+                    or start_bound <= cached):
+                start = cached
+                if perf_on:
+                    PERF.incr("dp.fit_cache_hits")
+            else:
+                if perf_on:
+                    PERF.incr("dp.fit_cache_misses")
+                # lint: scalar-fallback (witness miss; answer cached)
                 start = calendar.earliest_fit(
                     duration, earliest=start_bound, deadline=end_bound)
-            else:
-                keys, starts = fits
-                position = bisect_right(keys, start_bound) - 1
-                if position >= 0 and (
-                        (cached := starts[position]) is None
-                        or start_bound <= cached):
-                    start = cached
-                    if perf_on:
-                        PERF.incr("dp.fit_cache_hits")
-                else:
-                    if perf_on:
-                        PERF.incr("dp.fit_cache_misses")
-                    # lint: scalar-fallback (witness miss; answer cached)
-                    start = calendar.earliest_fit(
-                        duration, earliest=start_bound, deadline=end_bound)
-                    keys.insert(position + 1, start_bound)
-                    starts.insert(position + 1, start)
+                keys.insert(position + 1, start_bound)
+                starts.insert(position + 1, start)
             if start is None:
                 continue
             end = start + duration
@@ -939,16 +913,23 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         return best_cost, best_finish, exact
 
     start_key = (0, None, release)
-    total_cost, finish, _ = best_from(0, None, release, allowance_top)
-    if total_cost == _INFINITY and pruning:
-        # The incumbent proved a feasible solution exists, so an
-        # infeasible answer would mean the bounds misfired; fall back
-        # to an exact cold pass rather than ever diverging from it.
-        if PERF.enabled:  # pragma: no cover - defensive
-            PERF.incr("dp.warm_fallbacks")
-        memo.clear()
-        pruning = False
-        total_cost, finish, _ = best_from(0, None, release, _INFINITY)
+    try:
+        total_cost, finish, _ = best_from(0, None, release, allowance_top)
+        if total_cost == _INFINITY and pruning:
+            # The incumbent proved a feasible solution exists, so an
+            # infeasible answer would mean the bounds misfired; fall
+            # back to an exact cold pass rather than ever diverging.
+            if PERF.enabled:  # pragma: no cover - defensive
+                PERF.incr("dp.warm_fallbacks")
+            memo.clear()
+            pruning = False
+            total_cost, finish, _ = best_from(0, None, release, _INFINITY)
+    finally:
+        # ``best_from`` reaches itself through its own closure cell —
+        # a reference cycle holding the memo, the rows and their
+        # calendars.  Emptying the cell lets refcounting free all of
+        # it on return instead of leaving it to the cyclic collector.
+        del best_from
     if total_cost == _INFINITY:
         return None
 

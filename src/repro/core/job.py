@@ -383,20 +383,18 @@ class Job:
         memoizes per job (the DAG is immutable once built).
         """
         paths: list[list[str]] = []
-
-        def descend(task_id: str, prefix: list[str]) -> None:
-            if len(paths) >= limit:
-                return
-            prefix = prefix + [task_id]
-            successors = self._succ[task_id]
-            if not successors:
+        # An explicit stack of pending prefixes, pushed in reverse so
+        # pops follow DFS order (a self-recursive closure would leave a
+        # reference cycle behind on every call).
+        pending = [[source] for source in reversed(self.sources())]
+        while pending and len(paths) < limit:
+            prefix = pending.pop()
+            successors = self._succ[prefix[-1]]
+            if successors:
+                pending.extend(prefix + [succ]
+                               for succ in reversed(successors))
+            else:
                 paths.append(prefix)
-                return
-            for succ in successors:
-                descend(succ, prefix)
-
-        for source in self.sources():
-            descend(source, [])
         return paths
 
     def chain_length(self, chain: Sequence[str], performance: float = 1.0,

@@ -123,8 +123,8 @@ class OnlineSimulation:
             self.grid, economics=economics,
             conflict_retries=self.config.conflict_retries)
         #: The one long-lived cache layer of the whole run: plan cache,
-        #: fit memos, and gap tables carry across arrivals instead of
-        #: starting cold per job.
+        #: per-job memos, and gap tables carry across arrivals instead
+        #: of starting cold per job.
         self.context = self.metascheduler.context
         self.agents = {node.node_id: NodeAgent(self.sim, node)
                        for node in pool}

@@ -47,12 +47,11 @@ Counter names reported by the kernel
     Per-``(transfer, src, dst)`` transfer-time memoization — the
     context's per-(job, transfer model) lag memo.
 ``dp.fit_cache_hits`` / ``dp.fit_cache_misses``
-    The context's version-keyed ``earliest_fit`` memo shared across DP
-    calls; a hit means the node's calendar is provably unchanged since
-    the answer was computed.
-``dp.fit_cache_evictions``
-    Single entries dropped by the fit cache's LRU bound (was a
-    wholesale-clear count before the context refactor).
+    Interval-witness ``earliest_fit`` answers served from (or added
+    to) the queried calendar content version's witness store, shared
+    across DP calls and contexts; a hit means the node's calendar is
+    provably unchanged since the answer was computed.  The store is
+    freed with its version, so there is no eviction counter.
 ``dp.duration_cache_hits`` / ``dp.duration_cache_misses``
     The context's per-job (task, node, level) duration memo.
 ``dp.warm_fallbacks``

@@ -48,7 +48,7 @@ TEMPLATES = (
     "async def {a}({b}):\n    await {b}()",
     "class {a}:\n    {b} = {{}}\n    def {c}(self):\n        self.{b}.clear()",
     "class {a}:\n    def __init__(self):\n        self._fit_cache = dict()",
-    "def {a}(context):\n    return context.fit_cache.get({b})",
+    "def {a}(context):\n    return context._gap_tables.get({b})",
     "def {a}(rows):\n    for row in rows:\n        row.calendar.earliest_fit(5)",
     "def {a}():\n    PERF.incr('{b}_hits')",
     "{a} = 1  # lint: {b}",

@@ -323,9 +323,9 @@ def test_rep007_sanction_at_declaration_or_mutation():
 
 def test_rep008_unguarded_read_caught():
     source = ("def lookup(context, key):\n"
-              "    return context.fit_cache.get(key)\n")
+              "    return context._gap_tables.get(key)\n")
     found = run(source, only="REP008")
-    assert len(found) == 1 and "fit_cache" in found[0].message
+    assert len(found) == 1 and "_gap_tables" in found[0].message
 
     subscript = ("def lookup(context, key):\n"
                  "    return context.plans[key]\n")
@@ -335,7 +335,7 @@ def test_rep008_unguarded_read_caught():
 def test_rep008_version_or_epoch_guard_passes():
     guarded = ("def lookup(context, node, key):\n"
                "    version = node.calendar_version\n"
-               "    return context.fit_cache.get((key, version))\n")
+               "    return context._gap_tables.get((key, version))\n")
     assert run(guarded, only="REP008") == []
     epoch = ("def lookup(context, grid, job, key):\n"
              "    epochs = grid.epoch_slice(key)\n"
@@ -363,22 +363,22 @@ def test_rep008_shape_keyed_plan_reads_need_both_tokens():
             "    return context.plans.lookup(job.shape_hash, key, epochs)\n")
     assert run(both, only="REP008") == []
     # Plain mapping caches are unaffected by the shape requirement.
-    fit = ("def lookup(context, node, key):\n"
-           "    version = node.calendar_version\n"
-           "    return context.fit_cache.lookup((key, version))\n")
-    assert run(fit, only="REP008") == []
+    gaps = ("def lookup(context, node, key):\n"
+            "    version = node.calendar_version\n"
+            "    return context._gap_tables.lookup((key, version))\n")
+    assert run(gaps, only="REP008") == []
 
 
 def test_rep008_scope_writes_and_marker():
     write = ("def store(context, key, value):\n"
-             "    context.fit_cache[key] = value\n")
+             "    context._gap_tables[key] = value\n")
     assert run(write, only="REP008") == []
     other_cache = ("def lookup(context, key):\n"
                    "    return context.results.get(key)\n")
     assert run(other_cache, only="REP008") == []
     sanctioned = ("def lookup(context, key):\n"
                   "    # lint: epoch-keyed (key embeds the version)\n"
-                  "    return context.fit_cache.get(key)\n")
+                  "    return context._gap_tables.get(key)\n")
     assert run(sanctioned, only="REP008") == []
 
 
@@ -491,7 +491,7 @@ def test_rep011_unpaired_and_dynamic_names_caught():
     assert len(found) == 1 and "dp.fit_cache_misses" in found[0].message
 
     evictions = ("def f():\n"
-                 "    PERF.incr('dp.fit_cache_evictions')\n")
+                 "    PERF.incr('placement.gap_table_evictions')\n")
     assert len(run(evictions, only="REP011")) == 1
 
     dynamic = ("def f(name):\n"

@@ -253,3 +253,49 @@ def test_release_prefix_without_match_keeps_version():
     assert calendar.version == version
     assert calendar.release_prefix("a") == 1
     assert calendar.version != version
+
+
+# ----------------------------------------------------------------------
+# Fit witnesses live with the content version
+# ----------------------------------------------------------------------
+
+MUTATIONS = {
+    "reserve": lambda calendar: calendar.reserve(40, 42, tag="late"),
+    "release": lambda calendar: calendar.release(calendar.reservations[0]),
+    "release_tag": lambda calendar: calendar.release_tag("bg"),
+    "release_prefix": lambda calendar: calendar.release_prefix("b"),
+}
+
+
+def test_fit_witnesses_are_per_version_and_per_query_shape():
+    calendar = ReservationCalendar.from_busy([0, 10], [5, 12], tag="bg")
+    witnesses = calendar.fit_witnesses(3, 30)
+    assert witnesses == ([], [])
+    assert calendar.fit_witnesses(3, 30) is witnesses
+    assert calendar.fit_witnesses(3, 31) is not witnesses
+    assert calendar.fit_witnesses(4, 30) is not witnesses
+    assert ReservationCalendar().fit_witnesses(3, 30) is not witnesses
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("mutated_side", ["origin", "clone"])
+def test_every_mutation_starts_fresh_fit_witnesses(mutation, mutated_side):
+    calendar = ReservationCalendar.from_busy([0, 10], [5, 12], tag="bg")
+    witnesses = calendar.fit_witnesses(3, 30)
+    witnesses[0].append(0)
+    witnesses[1].append(5)
+    clone = calendar.copy()
+    mutated, untouched = ((calendar, clone) if mutated_side == "origin"
+                          else (clone, calendar))
+    MUTATIONS[mutation](mutated)
+    assert mutated.fit_witnesses(3, 30) == ([], [])
+    assert untouched.fit_witnesses(3, 30) is witnesses
+    assert witnesses == ([0], [5])
+
+
+def test_no_op_release_keeps_fit_witnesses():
+    calendar = ReservationCalendar([Reservation(0, 5, "bg")])
+    witnesses = calendar.fit_witnesses(3, 30)
+    assert calendar.release_tag("other") == 0
+    assert calendar.release_prefix("other") == 0
+    assert calendar.fit_witnesses(3, 30) is witnesses

@@ -290,11 +290,14 @@ def test_stats_reports_every_context_cache():
     stats = context.stats({})
     for name in CONTEXT_CACHE_NAMES:
         assert name in stats, name
-    for name in ("dp.fit_cache", "placement.gap_table",
-                 "placement.stack"):
+    for name in ("placement.gap_table", "placement.stack"):
         assert stats[name]["policy"] == "lru"
         assert stats[name]["entries"] == 0
         assert stats[name]["capacity"] >= 1
+    # Fit witnesses live on calendar versions: counters only, no storage.
+    assert stats["dp.fit_cache"] == {"hits": 0, "misses": 0,
+                                     "hit_rate": 0.0,
+                                     "policy": "calendar-version"}
     assert stats["flow.plan_cache"]["policy"] == "two-tier-lru"
     assert stats["flow.plan_cache"]["skeletons"] == 0
     assert stats["flow.plan_cache"]["reuse_rate"] == 0.0

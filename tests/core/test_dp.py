@@ -223,8 +223,8 @@ def test_evaluations_counter_positive():
 
 
 def test_context_caches_do_not_change_results():
-    """The context's version-keyed fit cache and transfer-lag memo are
-    pure memoization: results must equal the cacheless run's exactly."""
+    """The context's duration and transfer-lag memos are pure
+    memoization: results must equal the cacheless run's exactly."""
     from repro.core.context import SchedulingContext
 
     job = chain_job()
@@ -242,7 +242,7 @@ def test_context_caches_do_not_change_results():
     assert cached.placements == plain.placements
     assert cached.cost == plain.cost
     assert cached.evaluations == plain.evaluations
-    assert len(context.fit_cache)  # the run actually populated it
+    assert context.durations(job)  # the run actually populated it
 
     # A second run through the same context reuses entries and agrees.
     again = allocate_chain(job, chain, pool, calendars, 25,
@@ -271,6 +271,88 @@ def test_stale_fit_cache_keys_are_ignored_after_mutation():
     if uncached is not None:
         assert fresh.placements == uncached.placements
         assert fresh.cost == uncached.cost
+
+
+def _witness_calendars(pool):
+    calendars = empty_calendars(pool)
+    calendars[1].reserve(0, 3, tag="bg")
+    calendars[2].reserve(4, 6, tag="bg")
+    return calendars
+
+
+def _fit_counts(job, chain, pool, calendars):
+    from repro.perf import PERF
+
+    with PERF.collecting() as registry:
+        allocate_chain(job, chain, pool, calendars, 25)
+        counters = dict(registry.counters)
+    return (counters.get("dp.fit_cache_hits", 0),
+            counters.get("dp.fit_cache_misses", 0))
+
+
+def test_cow_clone_reuses_its_origins_fit_witnesses():
+    job = chain_job()
+    pool = make_pool(1.0, 0.5, 1 / 3)
+    calendars = _witness_calendars(pool)
+    chain = ["A", "B", "C"]
+    assert _fit_counts(job, chain, pool, calendars)[1] > 0
+    clones = {node_id: calendar.copy()
+              for node_id, calendar in calendars.items()}
+    hits, misses = _fit_counts(job, chain, pool, clones)
+    assert hits > 0 and misses == 0
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda calendar: calendar.reserve(40, 42, tag="late"),
+    lambda calendar: calendar.release(calendar.reservations[0]),
+    lambda calendar: calendar.release_tag("bg"),
+    lambda calendar: calendar.release_prefix("b"),
+], ids=["reserve", "release", "release_tag", "release_prefix"])
+def test_mutation_starts_fresh_fit_witnesses_untouched_clone_hits(mutation):
+    job = chain_job()
+    pool = make_pool(1.0, 0.5, 1 / 3)
+    calendars = _witness_calendars(pool)
+    chain = ["A", "B", "C"]
+    _fit_counts(job, chain, pool, calendars)
+    mutated = {node_id: calendar.copy()
+               for node_id, calendar in calendars.items()}
+    mutation(mutated[1])
+    assert _fit_counts(job, chain, pool, mutated)[1] > 0
+    hits, misses = _fit_counts(job, chain, pool, calendars)
+    assert hits > 0 and misses == 0
+
+
+@pytest.mark.parametrize("objective", ["cost", "time"])
+@pytest.mark.parametrize("hinted", [False, True])
+def test_context_none_matches_shared_context(objective, hinted):
+    """Witnesses live on the calendars, so the bare call and a shared
+    context see the same fits; neither a context nor warm witnesses may
+    change placements, costs, or the expansion count."""
+    from repro.core.context import SchedulingContext
+
+    job = chain_job()
+    pool = make_pool(1.0, 0.5, 1 / 3)
+    chain = ["A", "B", "C"]
+    hint = {"A": 1, "B": 2, "C": 1} if hinted else None
+    context = SchedulingContext()
+    runs = [
+        allocate_chain(job, chain, pool, _witness_calendars(pool), 25,
+                       objective=objective, hint=hint),
+        allocate_chain(job, chain, pool, _witness_calendars(pool), 25,
+                       objective=objective, hint=hint, context=context),
+    ]
+    warm = _witness_calendars(pool)
+    for shared in (None, context, None):
+        runs.append(allocate_chain(job, chain, pool, warm, 25,
+                                   objective=objective, hint=hint,
+                                   context=shared))
+    first = runs[0]
+    assert first is not None
+    for run in runs[1:]:
+        assert run.placements == first.placements
+        assert run.cost == first.cost
+        assert run.finish == first.finish
+        assert run.evaluations == first.evaluations
 
 
 def test_hint_warm_start_is_bit_identical():

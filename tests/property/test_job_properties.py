@@ -36,6 +36,32 @@ def test_all_paths_run_source_to_sink(seed):
             assert job.transfer_between(earlier, later) is not None
 
 
+def recursive_paths(job, limit):
+    """Reference enumeration: the plain recursive DFS."""
+    paths = []
+
+    def descend(task_id, prefix):
+        if len(paths) >= limit:
+            return
+        prefix = prefix + [task_id]
+        successors = job.successors(task_id)
+        if not successors:
+            paths.append(prefix)
+            return
+        for succ in successors:
+            descend(succ, prefix)
+
+    for source in job.sources():
+        descend(source, [])
+    return paths
+
+
+@given(seeds, st.sampled_from([0, 1, 2, 3, 7, 10000]))
+def test_all_paths_match_recursive_dfs_order_and_limit(seed, limit):
+    job = random_job(seed)
+    assert job.all_paths(limit) == recursive_paths(job, limit)
+
+
 @given(seeds)
 def test_deadline_dominates_critical_path(seed):
     job = random_job(seed)
