@@ -36,8 +36,6 @@ _MARKER_RE = re.compile(r"#\s*lint:\s*([A-Za-z0-9][A-Za-z0-9_-]*)")
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _SCOPE_NODES = _FUNCTION_NODES + (ast.ClassDef, ast.ListComp, ast.SetComp,
                                   ast.DictComp, ast.GeneratorExp, ast.Module)
-_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-               ast.DictComp, ast.GeneratorExp)
 
 
 @dataclass(frozen=True)
@@ -89,18 +87,6 @@ class ModuleModel:
             if isinstance(ancestor, ast.ClassDef):
                 return ancestor
         return None
-
-    def loop_depth(self, node: ast.AST) -> int:
-        """Loop/comprehension nesting around ``node`` inside its own
-        function: a nested function's body restarts the count (it does
-        not execute inside the enclosing loop's iteration)."""
-        depth = 0
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, _FUNCTION_NODES):
-                break
-            if isinstance(ancestor, _LOOP_NODES):
-                depth += 1
-        return depth
 
     def scope_of(self, node: ast.AST) -> Scope:
         """The lexical scope the node's code runs in."""

@@ -1,4 +1,4 @@
-"""The rule set (pass 3): REP001–REP011, REP013 checker implementations.
+"""The rule set (pass 3): REP001–REP004, REP006–REP011, REP013 checkers.
 
 Each checker receives one :class:`~repro.analysis.lint.model.
 ModuleModel` and yields raw findings; suppression markers, baselines,
@@ -14,7 +14,7 @@ note only the implementation subtleties.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set
 
 from .model import ModuleModel
 from .registry import LintViolation, Severity, register_meta_rule, rule
@@ -80,7 +80,7 @@ _CACHE_NAME_HINTS = ("cache", "memo", "_tables", "_stacks", "matrices")
 
 #: SchedulingContext caches whose keys embed a calendar content version
 #: or a domain epoch slice; reads must visibly involve one (REP008).
-_VERSIONED_CACHES = frozenset({"plans", "_gap_tables", "_stacks"})
+_VERSIONED_CACHES = frozenset({"plans", "_gap_tables"})
 
 #: Identifier substrings that count as a version/epoch guard (REP008).
 _GUARD_TOKENS = ("version", "epoch")
@@ -312,30 +312,6 @@ def check_mutable_default(model: ModuleModel) -> Iterator[LintViolation]:
                     Severity.ERROR,
                     "mutable default argument; default to None (or a "
                     "dataclasses.field factory) and build inside")
-
-
-# ---------------------------------------------------------------------------
-# REP005 scalar-fit-in-loop
-# ---------------------------------------------------------------------------
-
-@rule("REP005", "scalar-fit-in-loop", Severity.WARNING,
-      "scalar earliest_fit in a DP loop bypasses the batched "
-      "placement kernel",
-      marker="scalar-fallback", scope="core/dp.py only")
-def check_scalar_fit(model: ModuleModel) -> Iterator[LintViolation]:
-    if not model.is_module("core", "dp.py"):
-        return
-    for node in model.calls():
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "earliest_fit"):
-            continue
-        if model.loop_depth(node) == 0:
-            continue
-        yield _finding(
-            model, node, "REP005", "scalar-fit-in-loop", Severity.WARNING,
-            "scalar earliest_fit inside a DP loop; batch through "
-            "repro.core.placement (or mark the sanctioned fallback "
-            "with `# lint: scalar-fallback`)")
 
 
 # ---------------------------------------------------------------------------
@@ -944,12 +920,16 @@ def _is_study_entry(function: ast.AST) -> bool:
 
 
 @rule("REP013", "ad-hoc-study-plumbing", Severity.WARNING,
-      "direct ProcessPoolExecutor construction, or a raw result-dict "
-      "returned from a run*/*_study entry point, in experiments/",
-      marker="platform-ok", scope="repro/experiments/ package")
+      "direct ProcessPoolExecutor construction in experiments/, core/ "
+      "or flow/, or a raw result-dict returned from a run*/*_study "
+      "entry point in experiments/",
+      marker="platform-ok",
+      scope="repro/experiments/, core/ and flow/ packages (result "
+            "dicts: experiments/ only)")
 def check_ad_hoc_study_plumbing(model: ModuleModel
                                 ) -> Iterator[LintViolation]:
-    if not model.in_packages(("experiments",), require_repro=True):
+    if not model.in_packages(("experiments", "core", "flow"),
+                             require_repro=True):
         return
     for node in model.calls():
         dotted = model.resolve_call(node)
@@ -958,12 +938,14 @@ def check_ad_hoc_study_plumbing(model: ModuleModel
             yield _finding(
                 model, node, "REP013", "ad-hoc-study-plumbing",
                 Severity.WARNING,
-                "direct ProcessPoolExecutor construction in an "
-                "experiment module; fan cells out through the study "
+                "direct ProcessPoolExecutor construction outside "
+                "repro.platform; fan work out through the study "
                 "platform (StudyGrid.run / repro.platform.fanout_map) "
                 "so worker clamping, in-order merge, and the result "
                 "store stay in one place (or mark "
                 "`# lint: platform-ok`)")
+    if not model.in_packages(("experiments",), require_repro=True):
+        return
     for node in ast.walk(model.tree):
         if not isinstance(node, ast.Return) or node.value is None:
             continue

@@ -23,8 +23,8 @@ __all__ = ["Reservation", "ReservationConflict", "ReservationCalendar",
            "GapTable", "GAP_HORIZON", "FitWitnesses"]
 
 #: Sentinel end of a calendar's last (unbounded) gap.  Far beyond any
-#: realistic slot value, yet small enough that gap ends offset by a
-#: per-row stride (see :mod:`repro.core.placement`) stay inside int64.
+#: realistic slot value, yet small enough that gap arithmetic stays
+#: inside int64.
 GAP_HORIZON = 1 << 40
 
 #: Process-global version clock shared by every calendar.  Each mutation
@@ -66,7 +66,8 @@ class GapTable:
     The table is immutable and tagged with the calendar's content
     ``version``: equal versions guarantee identical reservations, so a
     table can be cached per version and shared by every copy-on-write
-    clone of the calendar (see :mod:`repro.core.placement`).
+    clone of the calendar (see :meth:`repro.core.context.
+    SchedulingContext.gap_table`).
     """
 
     version: int
@@ -74,8 +75,8 @@ class GapTable:
     gap_start: np.ndarray
     #: Gap lengths (int64); zero for back-to-back reservations.
     gap_len: np.ndarray
-    #: ``gap_start + gap_len``, precomputed (the batch kernel bisects
-    #: on gap ends); ``gap_end[-1] == GAP_HORIZON``.
+    #: ``gap_start + gap_len``, precomputed;
+    #: ``gap_end[-1] == GAP_HORIZON``.
     gap_end: np.ndarray
     #: End of the last reservation (0 when empty) — lets callers
     #: reproduce the scalar API's implied horizon for open deadlines.
@@ -125,38 +126,6 @@ class ReservationCalendar:
         self._new_version()
         for reservation in sorted(reservations, key=lambda r: r.start):
             self.reserve(reservation.start, reservation.end, reservation.tag)
-
-    @classmethod
-    def from_busy(cls, starts: Iterable[int], ends: Iterable[int],
-                  tag: str = "") -> "ReservationCalendar":
-        """Bulk-load a calendar from sorted, disjoint busy intervals.
-
-        ``starts``/``ends`` are parallel sequences (for example the
-        busy spans recovered from a :class:`GapTable`: reservation *k*
-        spans ``[gap_end[k], gap_start[k+1])``).  Builds the internal
-        lists in one pass — O(n) instead of the O(n log n) bisect
-        inserts (plus per-insert ``is_free`` checks) that feeding
-        :meth:`reserve` would cost — which is what makes worker-side
-        replica reconstruction affordable at shard-sync time.  The
-        intervals must already be start-sorted and non-overlapping;
-        a violated precondition raises :class:`ReservationConflict`.
-        """
-        reservations: list[Reservation] = []
-        previous_end: Optional[int] = None
-        for start, end in zip(starts, ends):
-            reservation = Reservation(int(start), int(end), tag)
-            if previous_end is not None and reservation.start < previous_end:
-                raise ReservationConflict(
-                    f"bulk intervals out of order or overlapping at "
-                    f"[{reservation.start}, {reservation.end})")
-            previous_end = reservation.end
-            reservations.append(reservation)
-        calendar = cls.__new__(cls)
-        calendar._reservations = reservations
-        calendar._starts = [r.start for r in reservations]
-        calendar._shared = False
-        calendar._new_version()
-        return calendar
 
     @property
     def version(self) -> int:
@@ -341,8 +310,8 @@ class ReservationCalendar:
         list; with ``n`` reservations the table has ``n + 1`` gaps
         (possibly zero-length, for back-to-back reservations).  Callers
         wanting amortized reuse should go through
-        :func:`repro.core.placement.gap_table`, which caches tables by
-        version across copy-on-write clones.
+        :meth:`repro.core.context.SchedulingContext.gap_table`, which
+        caches tables by version across copy-on-write clones.
         """
         count = len(self._reservations)
         gap_start = np.empty(count + 1, dtype=np.int64)

@@ -1,16 +1,16 @@
 """One epoch-aware session layer for every cache in the kernel.
 
-After three optimization passes the kernel had grown seven independent
+After three optimization passes the kernel had grown independent
 caches — ``earliest_fit`` interval witnesses, per-job transfer lags and
-durations, gap tables and their stacked concatenations, critical-works
-rankings, source→sink path enumerations, and the metascheduler's
-epoch-keyed plan cache — each with its own plumbing (module globals,
-scheduler attributes, optional keyword arguments threaded through the
-DP) and its own ad-hoc eviction (wholesale ``clear()`` at a size
-limit).  :class:`SchedulingContext` owns all of them behind one object
-except the interval witnesses, which live on the calendar content
-version they describe (:meth:`~repro.core.calendar.ReservationCalendar.
-fit_witnesses`) and die with it:
+durations, gap tables, critical-works rankings, source→sink path
+enumerations, and the metascheduler's epoch-keyed plan cache — each
+with its own plumbing (module globals, scheduler attributes, optional
+keyword arguments threaded through the DP) and its own ad-hoc eviction
+(wholesale ``clear()`` at a size limit).  :class:`SchedulingContext`
+owns all of them behind one object except the interval witnesses,
+which live on the calendar content version they describe
+(:meth:`~repro.core.calendar.ReservationCalendar.fit_witnesses`) and
+die with it:
 
 * every cache keyed on data that pins its inputs exactly — calendar
   *content versions* (process-globally unique, shared by copy-on-write
@@ -26,7 +26,7 @@ fit_witnesses`) and die with it:
   labelled task/transfer/deadline content, excluding the job id and
   owner; see :attr:`~repro.core.job.Job.structural_hash`) and scoped
   by the identity of the transfer model (lags differ across strategy
-  families) and the pool (matrices and rankings are pool-indexed) —
+  families) and the pool (rankings are pool-indexed) —
   template-derived jobs that share a structure share durations, lags,
   rankings, and path enumerations, and one context stays safe to
   share across families, domains, and a whole online run;
@@ -65,7 +65,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Generic, Iterator, List,
 
 from ..perf import PERF
 from .calendar import GapTable, ReservationCalendar
-from .placement import StackedGaps
 
 if TYPE_CHECKING:  # imports that would be circular at runtime
     from ..flow.metascheduler import Metascheduler  # noqa: F401
@@ -82,8 +81,6 @@ V = TypeVar("V")
 
 #: Gap tables retained (one per live calendar content version).
 DEFAULT_GAP_TABLE_CAPACITY = 8192
-#: Stacked gap-table array sets retained (one per version sequence).
-DEFAULT_STACK_CAPACITY = 1024
 #: Plan skeletons (shape × family × domain) retained by the flow layer.
 DEFAULT_PLAN_CAPACITY = 4096
 #: Concrete strategy variants retained per plan skeleton.
@@ -105,7 +102,6 @@ CONTEXT_CACHE_NAMES: Tuple[str, ...] = (
     "dp.transfer_cache",
     "dp.duration_cache",
     "placement.gap_table",
-    "placement.stack",
     "critical_works.rank_cache",
     "job.paths_cache",
     "flow.plan_cache",
@@ -371,7 +367,6 @@ class SchedulingContext:
     """
 
     def __init__(self, gap_table_capacity: int = DEFAULT_GAP_TABLE_CAPACITY,
-                 stack_capacity: int = DEFAULT_STACK_CAPACITY,
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
                  struct_capacity: int = DEFAULT_STRUCT_CAPACITY) -> None:
         #: The flow layer's two-tier semantic plan cache (shape-keyed
@@ -380,8 +375,6 @@ class SchedulingContext:
         self.plans: PlanCache = PlanCache("flow.plan_cache", plan_capacity)
         self._gap_tables: LruCache[int, GapTable] = LruCache(
             "placement.gap_table", gap_table_capacity)
-        self._stacks: LruCache[Tuple[int, ...], StackedGaps] = LruCache(
-            "placement.stack", stack_capacity)
         #: Per-structure caches, LRU-keyed on the job's structural hash
         #: so template-derived siblings share durations, lags, rankings
         #: and path enumerations; the inner mapping is keyed on
@@ -444,12 +437,12 @@ class SchedulingContext:
         task/transfer/deadline content, excluding the job id and owner
         (:attr:`~repro.core.job.Job.structural_hash`) — so every
         template-derived sibling of one structure shares durations,
-        lags, matrices, rankings, and paths.  All of these memos are
+        lags, rankings, and paths.  All of these memos are
         functions of exactly that content (plus the scoped models), so
         sharing is exact.  ``scope`` objects (transfer models, pools)
         are resolved to identity tokens: lags depend on the transfer
-        model, matrices and rankings additionally on the pool's node
-        order, so caches of different scopes must never alias.
+        model, rankings additionally on the pool's node order, so
+        caches of different scopes must never alias.
         """
         per_struct = self._struct_caches.get(job.structural_hash)
         if per_struct is None:
@@ -507,12 +500,6 @@ class SchedulingContext:
         """``(task id, node id, level) -> duration`` memo (pure keys)."""
         return self.job_cache(job, "duration")
 
-    def transfer_matrices(self, job: "Job", model: object,
-                          pool: object) -> Dict[str, Any]:
-        """``transfer id -> (src × dst)`` lag-matrix memo for the batch
-        engine; indexed by *pool position*, hence scoped per pool."""
-        return self.job_cache(job, "matrix", model, pool)
-
     def rankings(self, job: "Job", model: object, pool: object
                  ) -> Dict[float, List[Tuple[int, List[str]]]]:
         """``level -> ranked critical works`` memo.
@@ -544,55 +531,24 @@ class SchedulingContext:
     # Placement caches (content-version keyed)
     # ------------------------------------------------------------------
 
-    def gap_table(self, calendar: ReservationCalendar,
-                  build: bool = True) -> Optional[GapTable]:
+    def gap_table(self, calendar: ReservationCalendar) -> GapTable:
         """The calendar's gap table, cached by content version.
 
-        With ``build=False`` only a previously materialized table is
-        returned (None otherwise) — the probe the DP uses to decide
-        between the batch kernel and the scalar fallback: freshly
-        mutated what-if copies have fresh versions and no table, so
-        they take the scalar path without ever paying a rebuild.
-        Stale versions of mutated calendars can never be queried again,
-        so LRU eviction only ever retires dead or cold entries.
+        Copy-on-write clones share their master's version, so a table
+        built for one snapshot serves every unmutated copy.  Stale
+        versions of mutated calendars can never be queried again, so
+        LRU eviction only ever retires dead or cold entries.
         """
         table = self._gap_tables.get(calendar.version)
         if table is not None:
             if PERF.enabled:
                 PERF.incr("placement.gap_table_hits")
             return table
-        if not build:
-            return None
         if PERF.enabled:
             PERF.incr("placement.gap_table_misses")
         table = calendar.gap_table()
         self._gap_tables[table.version] = table
         return table
-
-    def cached_stack(self, versions: Tuple[int, ...]
-                     ) -> Optional[StackedGaps]:
-        """A previously stacked array set for this exact version
-        sequence (the stacked arrays are self-contained, so a hit is
-        exact even after the per-calendar tables were evicted)."""
-        stacked = self._stacks.get(versions)
-        if stacked is not None and PERF.enabled:
-            PERF.incr("placement.stack_hits")
-        return stacked
-
-    def stack_gap_tables(self, tables: Sequence[GapTable]) -> StackedGaps:
-        """Stack tables for :func:`~repro.core.placement.
-        batch_earliest_fit`, cached by the version sequence."""
-        key = tuple(table.version for table in tables)
-        stacked = self._stacks.get(key)
-        if stacked is not None:
-            if PERF.enabled:
-                PERF.incr("placement.stack_hits")
-            return stacked
-        if PERF.enabled:
-            PERF.incr("placement.stack_misses")
-        stacked = StackedGaps(tables)
-        self._stacks[key] = stacked
-        return stacked
 
     # ------------------------------------------------------------------
     # Reporting
@@ -627,10 +583,10 @@ class SchedulingContext:
         # Fit witnesses live on the calendar versions (freed with them),
         # so the context reports only their hit counters.
         out["dp.fit_cache"] = pair("dp.fit_cache", policy="calendar-version")
-        for lru in (self._gap_tables, self._stacks):
-            out[lru.name] = pair(lru.name, policy="lru",
-                                 entries=len(lru), capacity=lru.capacity,
-                                 evictions=lru.evictions)
+        gaps = self._gap_tables
+        out[gaps.name] = pair(gaps.name, policy="lru", entries=len(gaps),
+                              capacity=gaps.capacity,
+                              evictions=gaps.evictions)
         plan_stats = pair(
             self.plans.name, policy="two-tier-lru",
             entries=len(self.plans),
@@ -659,8 +615,7 @@ class SchedulingContext:
             capacity=self.plans.coarse_capacity,
             evictions=self.plans.coarse_evictions)
 
-        sizes = {"transfer": 0, "duration": 0, "matrix": 0, "rank": 0,
-                 "paths": 0}
+        sizes = {"transfer": 0, "duration": 0, "rank": 0, "paths": 0}
         structs = 0
         for per_struct in self._struct_caches.values():
             structs += 1
@@ -675,16 +630,10 @@ class SchedulingContext:
         for name, kind in shared.items():
             out[name] = pair(name, policy="struct-lru",
                              entries=sizes[kind], structs=structs)
-        out["dp.transfer_matrices"] = {
-            "policy": "struct-lru", "entries": sizes["matrix"],
-            "structs": structs,
-            "builds": int(counters.get("dp.transfer_matrix_builds", 0)),
-        }
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SchedulingContext gaps={len(self._gap_tables)} "
-                f"stacks={len(self._stacks)} "
                 f"plans={len(self.plans)} "
                 f"structs={len(self._struct_caches)}>")
 
@@ -726,8 +675,8 @@ def merged_context_stats(
     """One ``stats()`` view over the per-shard contexts of a sharded run.
 
     Hit/miss/repair numbers come from the perf counter snapshot, which
-    already aggregates every shard (workers fold their deltas into the
-    parent registry), so they are taken from a single :meth:`~
+    already aggregates every shard (all shards plan in one process and
+    count into one registry), so they are taken from a single :meth:`~
     SchedulingContext.stats` call — reading them per shard would
     multiply-count.  Structural numbers (entries, capacities,
     evictions, skeleton and struct counts) are per-context storage and

@@ -47,9 +47,10 @@ class CostModel(Protocol):
 
     Time-invariant models may also provide ``task_cost_array(task,
     durations, nodes) -> np.ndarray`` — a vectorized :meth:`task_cost`
-    over per-node reservation lengths.  The batch DP engine uses it to
-    price a task's whole candidate row set in one sweep; the values
-    must be **bit-identical** to elementwise ``task_cost`` (same float
+    over per-node reservation lengths.  The DP uses it to price a
+    task's whole candidate row set in one sweep when warm-started
+    pruning needs every row's price; the values must be
+    **bit-identical** to elementwise ``task_cost`` (same float
     operations in the same order), because warm-started pruning mixes
     the two.  Models without it are priced through the scalar method.
 

@@ -33,7 +33,7 @@ from .calendar import ReservationCalendar
 from .collisions import Collision, CollisionStats
 from .context import SchedulingContext
 from .costs import CostModel, VolumeOverTimeCost, distribution_cost
-from .dp import _BATCH_MIN_ROWS, allocate_chain
+from .dp import allocate_chain
 from .job import Job
 from .resources import ResourcePool
 from .schedule import Distribution, Placement
@@ -90,11 +90,11 @@ class CriticalWorksScheduler:
     context:
         The :class:`~repro.core.context.SchedulingContext` holding
         every cache the scheduler and its DP calls consult (transfer
-        lags and matrices, durations, rankings, job paths, gap
-        tables; fit witnesses live on the calendars).  Callers that schedule through several schedulers
-        or across arrivals pass one shared context; by default the
-        scheduler owns a private one.  All context caches are exact,
-        so sharing never changes results.
+        lags, durations, rankings, job paths; fit witnesses live on
+        the calendars).  Callers that schedule through several
+        schedulers or across arrivals pass one shared context; by
+        default the scheduler owns a private one.  All context caches
+        are exact, so sharing never changes results.
     """
 
     def __init__(self, pool: ResourcePool,
@@ -104,17 +104,8 @@ class CriticalWorksScheduler:
                  monopolize: bool = False,
                  accounting_model: Optional[CostModel] = None,
                  self_check: bool = False,
-                 engine: str = "auto",
                  context: Optional[SchedulingContext] = None):
         self.pool = pool
-        if engine not in ("auto", "scalar", "batch"):
-            raise ValueError(f"unknown engine {engine!r}")
-        #: DP engine selection, forwarded to
-        #: :func:`repro.core.dp.allocate_chain` — ``"auto"`` batches the
-        #: phase-A (base snapshot) allocations and falls back to the
-        #: scalar recursion for phase-B working calendars; the choice
-        #: never affects results, only speed.
-        self.engine = engine
         self.transfer_model = transfer_model or NeutralTransferModel()
         #: Selection criterion the DP minimizes (a family's objective).
         self.cost_model = cost_model or VolumeOverTimeCost()
@@ -134,7 +125,7 @@ class CriticalWorksScheduler:
         self.self_check = self_check
         #: Session cache layer; see the class docstring.  Everything
         #: the pre-context scheduler owned privately — rankings,
-        #: transfer lags/matrices, durations — now lives
+        #: transfer lags, durations — now lives
         #: here, scoped by (job, model, pool) keys so a shared context
         #: stays exact across schedulers.
         self.context = context if context is not None else SchedulingContext()
@@ -206,18 +197,6 @@ class CriticalWorksScheduler:
         ctx = context if context is not None else self.context
         outcome = SchedulingOutcome(job_id=job.job_id, distribution=None,
                                     admissible=False, level=level)
-        if self.engine == "batch" or (
-                self.engine == "auto"
-                and len(calendars) >= _BATCH_MIN_ROWS):
-            # Materialize (or reuse — versions are shared by COW copies)
-            # gap tables for the base snapshot, so phase-A allocations
-            # qualify for the batch DP engine.  Phase-B working copies
-            # mutate into fresh untabled versions and deliberately fall
-            # back to the scalar recursion.  Pools too small to pass the
-            # batch row gate (domain subpools of online flows) skip the
-            # tables — their calls always take the scalar path.
-            for calendar in calendars.values():
-                ctx.gap_table(calendar)
         deadline = release + job.deadline if job.deadline else None
         if deadline is None:
             # No fixed completion time: bound by a generous horizon so the
@@ -259,7 +238,7 @@ class CriticalWorksScheduler:
         The scheduler's pool, models, and objective are construction
         state; the protocol's ``pool`` argument must match — passing a
         different pool is an error rather than a silent rebind, because
-        the rankings and lag matrices are keyed to ``self.pool``.
+        the rankings are keyed to ``self.pool``.
         """
         if pool is not self.pool:
             raise ValueError(
@@ -369,8 +348,7 @@ class CriticalWorksScheduler:
             job, segment, self.pool, base, deadline, level,
             self.transfer_model, self.cost_model, fixed=placed,
             release=release, allowed_nodes=allowed,
-            objective=self.objective, hint=warm_hint,
-            engine=self.engine, context=ctx)
+            objective=self.objective, hint=warm_hint, context=ctx)
         if tentative is None:
             return False
         outcome.evaluations += tentative.evaluations
@@ -414,7 +392,7 @@ class CriticalWorksScheduler:
                 self.transfer_model, self.cost_model, fixed=placed,
                 release=release, allowed_nodes=allowed,
                 objective=self.objective, hint=segment_hint,
-                engine=self.engine, context=ctx)
+                context=ctx)
             if resolved is None:
                 return False
             outcome.evaluations += resolved.evaluations

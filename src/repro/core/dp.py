@@ -50,12 +50,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..perf import PERF
-from . import placement as _placement
 from .calendar import ReservationCalendar
 from .context import SchedulingContext
 from .costs import CostModel, VolumeOverTimeCost
@@ -68,27 +67,10 @@ __all__ = ["ChainAllocation", "allocate_chain"]
 
 _INFINITY = float("inf")
 
-#: Shortest chain the ``auto`` engine routes to the batch kernel.  A
-#: single-task chain touches each candidate row exactly once — array
-#: setup costs more than the loop it replaces.
-_BATCH_MIN_CHAIN = 2
-
-#: Widest candidate row set required before the ``auto`` engine
-#: batches.  Small pools (e.g. per-domain subpools of a metascheduler)
-#: spawn so few states per level that the scalar recursion beats the
-#: fixed per-level cost of the array ops; measured crossover on the
-#: bench scenarios sits around a dozen rows.
-_BATCH_MIN_ROWS = 12
-
-#: Stride packing a DP state ``(pool position, data-ready slot)`` into
-#: one int64 key for deduplication; must exceed every slot value (see
-#: :data:`repro.core.calendar.GAP_HORIZON`).
-_STATE_STRIDE = 1 << 41
-
-#: Shared empty columns for degenerate batch positions (no states or
-#: no candidate rows); read-only by convention.
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
+#: Fewest candidate rows for which warm-start pricing fills a task's
+#: row prices in one vectorized sweep; below it the array round-trip
+#: costs more than pricing the few rows on demand.
+_VECTOR_PRICE_MIN_ROWS = 12
 
 
 @dataclass
@@ -116,7 +98,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                    allowed_nodes: Optional[set[int]] = None,
                    objective: str = "cost",
                    hint: Optional[Mapping[str, int]] = None,
-                   engine: str = "auto",
                    context: Optional[SchedulingContext] = None,
                    ) -> Optional[ChainAllocation]:
     """Allocate every task of ``chain`` or return None if infeasible.
@@ -158,24 +139,14 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         adjacent estimation level's allocation) used to seed an
         incumbent for branch-and-bound pruning.  Results are identical
         to ``hint=None``; only the expansion count drops.
-    engine:
-        ``"auto"`` (default) routes eligible calls — start-invariant
-        cost model, chain length ≥ 2, gap tables already materialized
-        for every candidate calendar — to the batched numpy engine and
-        everything else to the scalar recursion.  ``"scalar"`` forces
-        the recursion; ``"batch"`` forces the batch engine (building
-        missing gap tables) where eligible — both paths are
-        bit-identical, so the choice is purely about speed.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which owns the per-job caches this function consults: the
         per-(job, model) transfer-lag memo, the per-job duration memo,
-        the per-(job, model, pool) lag matrices of the batch engine,
-        and the gap-table/stack caches.  All exact, so sharing a
-        context across calls, levels, and jobs never changes results —
-        only speed.  ``None`` skips those caches (and, in ``auto``
-        mode, runs scalar: no materialized gap tables exist to batch
-        over); fit witnesses live on the calendars and serve either
+        the pool performance vector, and the row-price memo.  All
+        exact, so sharing a context across calls, levels, and jobs
+        never changes results — only speed.  ``None`` skips those
+        caches; fit witnesses live on the calendars and serve either
         way.
 
         .. versionchanged:: PR 5
@@ -183,8 +154,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
            ``duration_cache`` / ``transfer_matrices`` keyword
            arguments; construct a context instead of threading dicts.
     """
-    if engine not in ("auto", "scalar", "batch"):
-        raise ValueError(f"unknown engine {engine!r}")
     if not chain:
         return ChainAllocation([], 0.0, release, 0)
     transfer_model = transfer_model or NeutralTransferModel()
@@ -217,19 +186,15 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
 
     # Every cache below lives in the caller's context, scoped wide
     # enough to be exact: lags per (job, transfer model), durations per
-    # job (pure value keys), lag matrices per (job, model, pool) — the
-    # batch engine indexes them by pool position.  Without a context
-    # the call runs on a private per-call lag dict (the DP asks for the
-    # same lag once per state expansion) and no batched tables.
+    # job (pure value keys).  Without a context the call runs on a
+    # private per-call lag dict (the DP asks for the same lag once per
+    # state expansion).
     if context is not None:
         transfer_cache = context.transfer_lags(job, transfer_model)
         duration_cache = context.durations(job)
-        transfer_matrices = context.transfer_matrices(
-            job, transfer_model, pool)
     else:
         transfer_cache = {}
         duration_cache = None
-        transfer_matrices = None
 
     def transfer_time(transfer: DataTransfer, src_node: ProcessorNode,
                       dst_node: ProcessorNode) -> int:
@@ -251,13 +216,12 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         (see :meth:`~repro.core.calendar.ReservationCalendar.
         fit_witnesses`) — exact, never heuristic.  The row's bucket of
         its calendar version's store is attached on first use; rows
-        never queried through the scalar path (batch-engine rows,
-        pruned rows) skip the bucket lookup entirely.
+        never queried (pruned rows) skip the bucket lookup entirely.
         """
-        fits = row[8]
+        fits = row[7]
         if fits is None:
-            fits = row[2].fit_witnesses(row[4], row[6])
-            row[8] = fits
+            fits = row[2].fit_witnesses(row[3], row[5])
+            row[7] = fits
         keys, starts = fits
         position = bisect_right(keys, earliest) - 1
         if position >= 0:
@@ -268,8 +232,8 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 return cached
         if PERF.enabled:
             PERF.incr("dp.fit_cache_misses")
-        start = row[2].earliest_fit(row[4], earliest=earliest,
-                                    deadline=row[6])
+        start = row[2].earliest_fit(row[3], earliest=earliest,
+                                    deadline=row[5])
         keys.insert(position + 1, earliest)
         starts.insert(position + 1, start)
         return start
@@ -281,12 +245,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # the transfer lags vary with the node.  Nodes that can never host
     # a task (`floor + duration > ceiling` regardless of the data-ready
     # time: the DP start bound is never below the external release) are
-    # dropped up front.  Rows also carry the node's calendar and its
-    # content version (constant for the whole call — the DP never
-    # mutates calendars) so the inner loop touches no dicts or
-    # properties to query availability.
-    # Row layout: [node, node_id, calendar, version, duration, floor,
-    #             ceiling, row_cost, fits] — a list, because row_cost is
+    # dropped up front.  Rows also carry the node's calendar (constant
+    # for the whole call — the DP never mutates calendars) so the inner
+    # loop touches no dicts to query availability.
+    # Row layout: [node, node_id, calendar, duration, floor, ceiling,
+    #             row_cost, fits] — a list, because row_cost is
     #             filled lazily: start-time-invariant cost models price
     #             a row once on first touch (or eagerly when warm-start
     #             pruning needs every row for its lower bounds), so
@@ -418,12 +381,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 ceiling = shared_ceiling
             if floor + duration > ceiling:
                 continue
-            # The fit-witness bucket (row[8]) is attached lazily by
-            # ``find_fit`` on the row's first scalar query: rows served
-            # by the batch kernel — and rows the scalar DP prunes away —
-            # never pay the bucket lookup.
-            rows.append([node, node.node_id, calendar, calendar.version,
-                         duration, floor, ceiling, None, None])
+            # The fit-witness bucket (row[7]) is attached lazily by
+            # ``find_fit`` on the row's first query: rows the DP prunes
+            # away never pay the bucket lookup.
+            rows.append([node, node.node_id, calendar, duration, floor,
+                         ceiling, None, None])
         # An empty row set is kept (not short-circuited) so the DP
         # explores — and counts — exactly the states it always did.
         candidates[task_id] = rows
@@ -440,21 +402,21 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     def price_row(task_id: str, row: list) -> float:
         """The row's (start-invariant) cost, cached on the row."""
         if price_memo is not None:
-            memo_key = (price_key, job.task(task_id).volume, row[4],
+            memo_key = (price_key, job.task(task_id).volume, row[3],
                         row[1])
             row_cost = price_memo.get(memo_key)
             if row_cost is None:
                 row_cost = cost_model.task_cost(
                     job.task(task_id),
-                    Placement(task_id, row[1], row[5], row[5] + row[4]),
+                    Placement(task_id, row[1], row[4], row[4] + row[3]),
                     row[0])
                 price_memo[memo_key] = row_cost
         else:
             row_cost = cost_model.task_cost(
                 job.task(task_id),
-                Placement(task_id, row[1], row[5], row[5] + row[4]),
+                Placement(task_id, row[1], row[4], row[4] + row[3]),
                 row[0])
-        row[7] = row_cost
+        row[6] = row_cost
         return row_cost
 
     def hint_incumbent() -> Optional[float]:
@@ -477,7 +439,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if row is None:
                 return None
             node = row[0]
-            duration, floor, ceiling, row_cost = row[4:8]
+            duration, floor, ceiling, row_cost = row[3:7]
             incoming = (job.transfer_between(chain[index - 1], task_id)
                         if index > 0 else None)
             if incoming is None or prev_node is None:
@@ -537,7 +499,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                                   None)
                 if hinted_row is not None:
                     node = hinted_row[0]
-                    duration, floor, ceiling = hinted_row[4:7]
+                    duration, floor, ceiling = hinted_row[3:6]
                     if incoming is None or prev_node is None:
                         start_bound = ready
                     else:
@@ -549,7 +511,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                         start = find_fit(hinted_row, start_bound)
                         if start is not None:
                             if cost_mode:
-                                row_cost = hinted_row[7]
+                                row_cost = hinted_row[6]
                                 total_cost += (
                                     row_cost if row_cost is not None
                                     else price_row(task_id, hinted_row))
@@ -561,13 +523,13 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 # Start-invariant prices: cheapest-first order, first
                 # feasible row wins the step.
                 rows = sorted(rows, key=lambda row: (
-                    row[7] if row[7] is not None
+                    row[6] if row[6] is not None
                     else price_row(task_id, row)))
             chosen_row = None
             chosen_end = 0
             for row in rows:
                 node = row[0]
-                duration, floor, ceiling = row[4], row[5], row[6]
+                duration, floor, ceiling = row[3], row[4], row[5]
                 if incoming is None or prev_node is None:
                     start_bound = ready
                 else:
@@ -589,7 +551,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if chosen_row is None:
                 return None
             if cost_mode:
-                row_cost = chosen_row[7]
+                row_cost = chosen_row[6]
                 total_cost += (row_cost if row_cost is not None
                                else price_row(task_id, chosen_row))
             prev_node = chosen_row[0]
@@ -620,18 +582,16 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if cost_array_fn is not None:
                 for task_id in chain:
                     rows = candidates[task_id]
-                    if len(rows) < _BATCH_MIN_ROWS:
-                        # Below the batching crossover the array
-                        # round-trip costs more than pricing the few
-                        # rows on demand (``price_row`` fills them).
+                    if len(rows) < _VECTOR_PRICE_MIN_ROWS:
+                        # ``price_row`` fills the few rows on demand.
                         continue
                     priced = cost_array_fn(
                         job.task(task_id),
-                        np.fromiter((row[4] for row in rows),
+                        np.fromiter((row[3] for row in rows),
                                     dtype=np.int64, count=len(rows)),
                         [row[0] for row in rows])
                     for row, value in zip(rows, priced.tolist()):
-                        row[7] = value
+                        row[6] = value
         incumbent = hint_incumbent()
         if incumbent is None:
             # The hint no longer re-fits (drifted calendars, collision
@@ -655,11 +615,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 if cost_mode:
                     # The lower bound needs every row priced (min over
                     # the task's candidates).
-                    step = min((r[7] if r[7] is not None
+                    step = min((r[6] if r[6] is not None
                                 else price_row(step_task, r)
                                 for r in rows), default=_INFINITY)
                 else:
-                    step = min((r[4] for r in rows), default=_INFINITY)
+                    step = min((r[3] for r in rows), default=_INFINITY)
                 tail_lb[position] = step + tail_lb[position + 1]
             if PERF.enabled:
                 PERF.incr("dp.incumbents_warm")
@@ -682,63 +642,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         for position in range(1, chain_length):
             uniform_by_index[position] = uniform_lag_fn(
                 incoming_by_index[position])
-
-    def lag_matrix(transfer: DataTransfer) -> np.ndarray:
-        """The transfer's (pool src × pool dst) lag matrix, memoized in
-        the context so the batch engine pays one build per (job, model,
-        pool, edge) instead of per call."""
-        matrix = (transfer_matrices.get(transfer.transfer_id)
-                  if transfer_matrices is not None else None)
-        if matrix is not None:
-            return matrix
-        pool_nodes = list(pool)
-        size = len(pool_nodes)
-        matrix = np.empty((size, size), dtype=np.int64)
-        for src_at, src in enumerate(pool_nodes):
-            for dst_at, dst in enumerate(pool_nodes):
-                matrix[src_at, dst_at] = transfer_model.time(
-                    transfer, src, dst)
-        if PERF.enabled:
-            PERF.incr("dp.transfer_matrix_builds")
-        if transfer_matrices is not None:
-            transfer_matrices[transfer.transfer_id] = matrix
-        return matrix
-
-    # Engine dispatch.  The batch engine needs start-invariant row
-    # prices (both objectives rank on cost) and a materialized gap
-    # table per candidate calendar; in ``auto`` mode a missing table —
-    # the signature of a freshly mutated what-if copy — routes the call
-    # to the scalar recursion instead of paying a rebuild.  Both
-    # engines share the incumbent machinery above and return
-    # bit-identical allocations (see ``_allocate_batch``).
-    if (engine != "scalar" and invariant_cost
-            and chain_length >= (_BATCH_MIN_CHAIN if engine == "auto"
-                                 else 1)
-            and (engine == "batch"
-                 or max(len(candidates[task_id]) for task_id in chain)
-                 >= _BATCH_MIN_ROWS)):
-        stacks = _stacked_tables(chain, candidates,
-                                 build=engine == "batch", context=context)
-        if stacks is not None:
-            allocation, spent = _allocate_batch(
-                job, chain, pool, candidates, stacks, incoming_by_index,
-                release, cost_mode, transfer_model, lag_matrix,
-                cost_model, price_row, pruning, allowance_top, tail_lb)
-            if allocation is None and pruning:
-                # Mirrors the scalar defensive fallback: the incumbent
-                # proved feasibility, so rerun cold rather than ever
-                # returning a divergent answer.
-                if PERF.enabled:  # pragma: no cover - defensive
-                    PERF.incr("dp.warm_fallbacks")
-                allocation, extra = _allocate_batch(
-                    job, chain, pool, candidates, stacks, incoming_by_index,
-                    release, cost_mode, transfer_model, lag_matrix,
-                    cost_model, price_row, False, _INFINITY, tail_lb)
-                spent += extra
-            if allocation is None:
-                return None
-            allocation.evaluations = spent
-            return allocation
 
     evaluations = 0
     # memo[(index, prev_node_id, ready)] ->
@@ -787,7 +690,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         best_cost = best_finish = _INFINITY
         best_node = best_start = best_end = None
         for row in candidates[task_id]:
-            (node, node_id, calendar, _, duration, floor, end_bound,
+            (node, node_id, calendar, duration, floor, end_bound,
              row_cost, fits) = row
             if no_incoming:
                 start_bound = ready
@@ -832,7 +735,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # DP never reaches stay bucket-free.
             if fits is None:
                 fits = calendar.fit_witnesses(duration, end_bound)
-                row[8] = fits
+                row[7] = fits
             keys, starts = fits
             position = bisect_right(keys, start_bound) - 1
             if position >= 0 and (
@@ -844,7 +747,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             else:
                 if perf_on:
                     PERF.incr("dp.fit_cache_misses")
-                # lint: scalar-fallback (witness miss; answer cached)
                 start = calendar.earliest_fit(
                     duration, earliest=start_bound, deadline=end_bound)
                 keys.insert(position + 1, start_bound)
@@ -942,248 +844,3 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         key = entry[5]
     return ChainAllocation(placements, total_cost, int(finish), evaluations)
 
-
-def _stacked_tables(chain: Sequence[str],
-                    candidates: Mapping[str, list],
-                    build: bool,
-                    context: Optional[SchedulingContext]) -> Optional[list]:
-    """Stacked gap tables per chain position, or None to force scalar.
-
-    With ``build=False`` (the ``auto`` engine) any candidate calendar
-    without a materialized gap table vetoes the batch path — exactly
-    the freshly mutated what-if copies the scalar fallback exists for.
-    Positions with no candidate rows stack as None (the batch engine
-    never queries them).  Without a context there is nothing to probe
-    or memoize: ``build=False`` always vetoes, ``build=True`` stacks
-    fresh tables per call.
-    """
-    stacks: list = []
-    for task_id in chain:
-        rows = candidates[task_id]
-        if not rows:
-            stacks.append(None)
-            continue
-        if context is None:
-            if not build:
-                return None
-            stacks.append(_placement.StackedGaps(
-                [row[2].gap_table() for row in rows]))
-            continue
-        # The rows carry their calendar versions (row[3]), so a cached
-        # stack is found without touching the per-calendar tables — the
-        # stacked arrays are self-contained copies of the gap data.
-        stacked = context.cached_stack(tuple(row[3] for row in rows))
-        if stacked is None:
-            tables = []
-            for row in rows:
-                table = context.gap_table(row[2], build=build)
-                if table is None:
-                    return None
-                tables.append(table)
-            stacked = context.stack_gap_tables(tables)
-        stacks.append(stacked)
-    return stacks
-
-
-def _allocate_batch(job: Job, chain: Sequence[str], pool: ResourcePool,
-                    candidates: Mapping[str, list], stacks: list,
-                    incoming_by_index: Sequence[Optional[DataTransfer]],
-                    release: int, cost_mode: bool,
-                    transfer_model: TransferModel,
-                    lag_matrix: Callable[[DataTransfer], np.ndarray],
-                    cost_model: CostModel,
-                    price_row: Callable[[str, list], float],
-                    pruning: bool, allowance: float,
-                    tail_lb: Sequence[float]
-                    ) -> tuple[Optional[ChainAllocation], int]:
-    """Level-synchronous batched DP over the candidate rows.
-
-    The scalar recursion explores states ``(position, previous node,
-    data-ready slot)`` one at a time; this engine sweeps the whole
-    state *level* of each chain position at once: an ``states × rows``
-    start-bound matrix (one lag-matrix gather + floor clamp), a
-    feasibility/pruning mask, one :func:`~repro.core.placement.
-    batch_earliest_fit` call for every surviving pair, and an
-    ``np.unique`` dedup of ``(node, end)`` successor states.  The
-    backward pass then ranks each state's candidates with vectorized
-    lexicographic argmins.
-
-    Bit-identical to the recursion by construction:
-
-    * candidate values use the same float operations in the same
-      association — ``row_cost + tail_cost`` right to left, finishes as
-      ``max(tail_finish, end)``;
-    * ties on the primary criterion break to the secondary, then to the
-      *first row in pool order* (the reversed-index scatter below);
-    * pruning drops a pair only when ``min prefix cost + row cost +
-      tail lower bound`` (cost mode) or ``start bound + duration +
-      tail lower bound`` (time mode) strictly exceeds the incumbent —
-      every state on an optimal path keeps its full tie set, so values,
-      winners, and placements match the cold recursion exactly (the
-      same argument as the scalar warm start, with the forward-minimum
-      prefix cost standing in for the recursion's running allowance);
-    * the expansion count is the number of states entering each
-      position — exactly the states the cold recursion would expand.
-
-    Returns ``(allocation or None, evaluations)``; the caller owns the
-    defensive cold rerun when pruning yields None.
-    """
-    pool_nodes = list(pool)
-    pool_position = {node.node_id: index
-                     for index, node in enumerate(pool_nodes)}
-    chain_length = len(chain)
-    cost_array_fn = getattr(cost_model, "task_cost_array", None)
-    uniform_fn = getattr(transfer_model, "uniform_lag", None)
-
-    # Candidate rows as per-position SoA columns.
-    col_pos: list[np.ndarray] = []
-    col_dur: list[np.ndarray] = []
-    col_floor: list[np.ndarray] = []
-    col_ceiling: list[np.ndarray] = []
-    col_cost: list[np.ndarray] = []
-    for task_id in chain:
-        rows = candidates[task_id]
-        count = len(rows)
-        col_pos.append(np.fromiter((pool_position[row[1]] for row in rows),
-                                   dtype=np.int64, count=count))
-        durations = np.fromiter((row[4] for row in rows), dtype=np.int64,
-                                count=count)
-        col_dur.append(durations)
-        col_floor.append(np.fromiter((row[5] for row in rows),
-                                     dtype=np.int64, count=count))
-        col_ceiling.append(np.fromiter((row[6] for row in rows),
-                                       dtype=np.int64, count=count))
-        if count and cost_array_fn is not None:
-            # Vectorized row pricing — elementwise the same float ops
-            # as CostModel.task_cost, so the values are bit-identical.
-            costs = np.asarray(
-                cost_array_fn(job.task(task_id), durations,
-                              [row[0] for row in rows]), dtype=np.float64)
-        else:
-            costs = np.fromiter(
-                (row[7] if row[7] is not None else price_row(task_id, row)
-                 for row in rows), dtype=np.float64, count=count)
-        col_cost.append(costs)
-
-    # Forward sweep: enumerate the reachable state level of every
-    # position (ready slots per pool position), recording the feasible
-    # (state, row) pairs and their fitted start/end slots.
-    states_ready = np.full(1, release, dtype=np.int64)
-    states_pos = np.full(1, -1, dtype=np.int64)
-    # Minimum prefix cost per state — the pruning bound's g-value.
-    states_cost = np.zeros(1, dtype=np.float64)
-    evaluations = 0
-    perf_on = PERF.enabled
-    pairs: list[tuple] = []
-    for index in range(chain_length):
-        state_count = states_ready.shape[0]
-        row_count = col_dur[index].shape[0]
-        if state_count:
-            evaluations += state_count
-            if perf_on:
-                PERF.incr("dp.expansions", state_count)
-        if state_count == 0 or row_count == 0:
-            pairs.append((_EMPTY_I, _EMPTY_I, _EMPTY_I, _EMPTY_I, _EMPTY_I,
-                          state_count))
-            states_ready = states_pos = _EMPTY_I
-            states_cost = _EMPTY_F
-            continue
-        durations = col_dur[index]
-        ceilings = col_ceiling[index]
-        incoming = incoming_by_index[index]
-        if incoming is None:
-            start_bound = np.maximum(states_ready[:, None],
-                                     col_floor[index][None, :])
-        else:
-            uniform = (uniform_fn(incoming) if uniform_fn is not None
-                       else None)
-            if uniform is not None:
-                # Constant cross-node lag: one masked add replaces the
-                # node × node matrix gather.
-                start_bound = np.where(
-                    states_pos[:, None] == col_pos[index][None, :],
-                    states_ready[:, None],
-                    states_ready[:, None] + uniform)
-            else:
-                start_bound = states_ready[:, None] + lag_matrix(incoming)[
-                    states_pos[:, None], col_pos[index][None, :]]
-            np.maximum(start_bound, col_floor[index][None, :],
-                       out=start_bound)
-        feasible = start_bound + durations[None, :] <= ceilings[None, :]
-        if pruning:
-            if cost_mode:
-                bound = (states_cost[:, None] + col_cost[index][None, :]
-                         + tail_lb[index + 1])
-            else:
-                bound = (start_bound + durations[None, :]
-                         + tail_lb[index + 1])
-            feasible &= bound <= allowance
-        state_at, row_at = np.nonzero(feasible)
-        starts = _placement.batch_earliest_fit(
-            stacks[index], row_at, start_bound[state_at, row_at],
-            durations, ceilings)
-        placed = starts >= 0
-        state_at, row_at, starts = (state_at[placed], row_at[placed],
-                                    starts[placed])
-        ends = starts + durations[row_at]
-        keys = col_pos[index][row_at] * _STATE_STRIDE + ends
-        unique_keys, successor = np.unique(keys, return_inverse=True)
-        pairs.append((state_at, row_at, starts, ends, successor,
-                      state_count))
-        states_pos = unique_keys // _STATE_STRIDE
-        states_ready = unique_keys - states_pos * _STATE_STRIDE
-        if pruning and cost_mode:
-            accumulated = np.full(unique_keys.shape[0], _INFINITY)
-            np.minimum.at(accumulated, successor,
-                          states_cost[state_at] + col_cost[index][row_at])
-            states_cost = accumulated
-
-    # Backward value pass: per-state lexicographic argmin over pairs,
-    # ties to the first pair (pool order × monotone unique keys — the
-    # pair order within a state matches the scalar row order).
-    next_cost = next_finish = _EMPTY_F
-    picks: list[np.ndarray] = []
-    for index in range(chain_length - 1, -1, -1):
-        state_at, row_at, _, ends, successor, state_count = pairs[index]
-        cand_cost = col_cost[index][row_at]
-        if index == chain_length - 1:
-            cand_finish = ends.astype(np.float64)
-        else:
-            cand_cost = cand_cost + next_cost[successor]
-            cand_finish = np.maximum(next_finish[successor],
-                                     ends.astype(np.float64))
-        primary = cand_cost if cost_mode else cand_finish
-        secondary = cand_finish if cost_mode else cand_cost
-        best_primary = np.full(state_count, _INFINITY)
-        np.minimum.at(best_primary, state_at, primary)
-        tie = primary == best_primary[state_at]
-        best_secondary = np.full(state_count, _INFINITY)
-        np.minimum.at(best_secondary, state_at[tie], secondary[tie])
-        winners = np.nonzero(tie & (secondary == best_secondary[state_at]))[0]
-        pick = np.full(state_count, -1, dtype=np.int64)
-        pick[state_at[winners[::-1]]] = winners[::-1]
-        value_cost = np.full(state_count, _INFINITY)
-        value_finish = np.full(state_count, _INFINITY)
-        chosen = pick >= 0
-        value_cost[chosen] = cand_cost[pick[chosen]]
-        value_finish[chosen] = cand_finish[pick[chosen]]
-        picks.append(pick)
-        next_cost, next_finish = value_cost, value_finish
-    picks.reverse()
-
-    root_primary = next_cost[0] if cost_mode else next_finish[0]
-    if root_primary == _INFINITY:
-        return None, evaluations
-
-    placements: list[Placement] = []
-    state = 0
-    for index in range(chain_length):
-        pair = int(picks[index][state])
-        _, row_at, starts, ends, successor, _ = pairs[index]
-        row = candidates[chain[index]][int(row_at[pair])]
-        placements.append(Placement(
-            chain[index], row[1], int(starts[pair]), int(ends[pair])))
-        state = int(successor[pair])
-    return (ChainAllocation(placements, float(next_cost[0]),
-                            int(next_finish[0]), evaluations),
-            evaluations)

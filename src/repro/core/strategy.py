@@ -325,16 +325,11 @@ class StrategyGenerator:
         strategies are bit-identical either way (the pruning is exact;
         see :func:`repro.core.dp.allocate_chain`); warm starts only
         reduce ``generation_expense`` and wall time.  On by default.
-    engine:
-        DP engine selection forwarded to the per-family schedulers
-        (``"auto"``, ``"scalar"``, or ``"batch"``; see
-        :func:`repro.core.dp.allocate_chain`).  Bit-identical either
-        way — strictly a speed knob, and the differential tests' lever.
     context:
         The :class:`~repro.core.context.SchedulingContext` shared by
         every per-family scheduler the generator builds (one private
         context by default).  Metaschedulers pass their own so fit
-        memos and gap tables carry across managers and arrivals.
+        memos and per-job caches carry across managers and arrivals.
     """
 
     def __init__(self, pool: ResourcePool,
@@ -343,7 +338,6 @@ class StrategyGenerator:
                  cost_model: Optional[CostModel] = None,
                  balanced_cf_weight: Optional[float] = None,
                  warm_start: bool = True,
-                 engine: str = "auto",
                  context: Optional[SchedulingContext] = None):
         self.pool = pool
         if policy_models is None:
@@ -354,7 +348,6 @@ class StrategyGenerator:
         #: calibrated default of :class:`~repro.core.costs.BalancedTimeCost`).
         self.balanced_cf_weight = balanced_cf_weight
         self.warm_start = warm_start
-        self.engine = engine
         #: Session cache layer shared by all family schedulers.
         self.context = context if context is not None else SchedulingContext()
         self._schedulers: dict[StrategyType, CriticalWorksScheduler] = {}
@@ -378,8 +371,7 @@ class StrategyGenerator:
             self._schedulers[stype] = CriticalWorksScheduler(
                 self.pool, model, criterion,
                 objective=spec.objective, monopolize=spec.monopolize,
-                accounting_model=self.cost_model, engine=self.engine,
-                context=self.context)
+                accounting_model=self.cost_model, context=self.context)
         return self._schedulers[stype]
 
     def generate(self, job: Job,

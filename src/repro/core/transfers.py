@@ -24,10 +24,9 @@ class TransferModel(Protocol):
     *which* two distinct nodes move the data (true for every built-in
     policy: free co-located, one constant otherwise) — may additionally
     provide ``uniform_lag(transfer) -> int`` returning that constant.
-    The batch DP engine then evaluates transfer lags with one masked
-    array op instead of gathering from a materialized node × node
-    matrix; models with genuinely pairwise timings (per-link topology,
-    say) simply omit the method.
+    The DP then compares node ids instead of consulting the per-pair
+    lag memo; models with genuinely pairwise timings (per-link
+    topology, say) simply omit the method.
     """
 
     def time(self, transfer: DataTransfer, src_node: ProcessorNode,

@@ -3,7 +3,7 @@
 The paper's virtual organization is a federation of *domains*, each
 with its own job manager; nothing in the model requires one process to
 plan every domain's jobs serially.  This module supplies the pieces the
-sharded online engine (:mod:`repro.flow.sharded`) is built from, and
+sharded lane (:mod:`repro.flow.sharded`) is built from, and
 the plan-cache read the metascheduler shares with it:
 
 * :func:`partition_domains` — a balanced, deterministic partition of
@@ -17,16 +17,14 @@ the plan-cache read the metascheduler shares with it:
   :class:`~repro.core.context.SchedulingContext`, choosing the
   cheapest admissible offer exactly like the metascheduler does over
   the full VO (so one shard over all domains reproduces sequential
-  dispatch bit for bit);
-* :func:`replica_calendars` — bulk reconstruction of a shard's
-  calendars from shared-memory gap tables on the worker side.
+  dispatch bit for bit).
 """
 
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Mapping, Optional, Sequence, Tuple)
 
-from ..core.calendar import GapTable, ReservationCalendar
+from ..core.calendar import ReservationCalendar
 from ..core.context import PlanCache, SchedulingContext
 from ..perf import PERF
 from .manager import JobManager
@@ -36,8 +34,7 @@ if TYPE_CHECKING:
     from ..core.resources import ResourcePool
     from ..core.strategy import Strategy, StrategyType
 
-__all__ = ["partition_domains", "plan_with_cache", "ShardPlanner",
-           "replica_calendars"]
+__all__ = ["partition_domains", "plan_with_cache", "ShardPlanner"]
 
 
 def partition_domains(domains: Sequence[str],
@@ -100,12 +97,10 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     ``epochs`` is the domain's epoch slice; when omitted it is read off
     ``calendars`` directly (snapshot copies share content versions with
     their masters — the same values ``grid.epoch_slice`` reports), so
-    no grid handle is needed and worker processes can plan against
-    replica calendars.  Freshly generated strategies are stored under
-    their
-    semantic key and as the coarse seed for their (family, domain,
-    pool).  With ``retain=False`` the manager's per-job strategy
-    retention is skipped — the sharded batch lane plans 10^5+ jobs
+    no grid handle is needed.  Freshly generated strategies are stored
+    under their semantic key and as the coarse seed for their (family,
+    domain, pool).  With ``retain=False`` the manager's per-job
+    strategy retention is skipped — the sharded lane plans 10^5+ jobs
     through long-lived managers and must not accumulate a strategy per
     job id.
     """
@@ -217,26 +212,3 @@ class ShardPlanner:
                 best_cost = chosen.outcome.cost
         return best
 
-
-def replica_calendars(tables: Mapping[int, GapTable],
-                      tag: str = "replica"
-                      ) -> dict[int, ReservationCalendar]:
-    """Rebuild per-node calendars from (attached) gap tables.
-
-    The worker side of an epoch sync: given the zero-copy gap-table
-    views of a :class:`~repro.core.placement.SharedGapExport`, rebuild
-    real calendars the planning kernel can run against.  A table with
-    ``n + 1`` gaps encodes ``n`` reservations — reservation ``k`` is
-    exactly ``[gap_end[k], gap_start[k + 1])`` (zero-length gaps are
-    kept by the table, so even back-to-back reservations round-trip) —
-    and :meth:`~repro.core.calendar.ReservationCalendar.from_busy`
-    bulk-loads them in O(n).  Original reservation tags are not
-    shipped: workers only plan against free space, never release or
-    re-tag, so all replica reservations carry ``tag``.
-    """
-    calendars: dict[int, ReservationCalendar] = {}
-    for node_id, table in tables.items():
-        gaps = table.gap_start.shape[0]
-        calendars[node_id] = ReservationCalendar.from_busy(
-            table.gap_end[:gaps - 1], table.gap_start[1:], tag=tag)
-    return calendars

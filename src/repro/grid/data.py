@@ -62,7 +62,7 @@ class ReplicationModel:
         return ceil_units(self.overlap * transfer.base_time)
 
     def uniform_lag(self, transfer: DataTransfer) -> int:
-        """The node-independent cross-node lag (batch DP fast path)."""
+        """The node-independent cross-node lag (DP fast path)."""
         return ceil_units(self.overlap * transfer.base_time)
 
 
@@ -82,7 +82,7 @@ class RemoteAccessModel:
         return transfer.base_time
 
     def uniform_lag(self, transfer: DataTransfer) -> int:
-        """The node-independent cross-node lag (batch DP fast path)."""
+        """The node-independent cross-node lag (DP fast path)."""
         return transfer.base_time
 
 
@@ -110,7 +110,7 @@ class StaticStorageModel:
         return ceil_units(self.round_trip * transfer.base_time)
 
     def uniform_lag(self, transfer: DataTransfer) -> int:
-        """The node-independent cross-node lag (batch DP fast path)."""
+        """The node-independent cross-node lag (DP fast path)."""
         return ceil_units(self.round_trip * transfer.base_time)
 
 

@@ -56,21 +56,11 @@ Counter names reported by the kernel
     The context's per-job (task, node, level) duration memo.
 ``dp.warm_fallbacks``
     Warm runs that fell back to a cold pass (defensive; expected 0).
-``dp.transfer_matrix_builds``
-    Per-(job, model, pool) transfer-lag matrices precomputed for the
-    batch engine (replacing per-edge transfer-time calls).
-``placement.batch_queries`` / ``placement.rows_per_batch``
-    Batched gap-table placement-kernel invocations and the total query
-    rows they answered; the ratio is the batching factor.
 ``placement.gap_table_hits`` / ``placement.gap_table_misses``
     The context's version-keyed gap-table cache (a miss derives the
     table from the reservation list — the former
     ``placement.gap_rebuilds``); ``placement.gap_table_evictions``
     counts LRU drops.
-``placement.stack_hits`` / ``placement.stack_misses``
-    The context's stacked-array cache, keyed on version tuples (a miss
-    concatenates — the former ``placement.stack_builds``);
-    ``placement.stack_evictions`` counts LRU drops.
 ``flow.plan_cache_hits`` / ``flow.plan_cache_misses``
     Metascheduler strategy reuse through the context's two-tier plan
     cache, keyed semantically: skeletons by (job shape, family, domain)
@@ -246,46 +236,6 @@ class PerfRegistry:
             "timers": {name: round(seconds, 6)
                        for name, seconds in sorted(self.timers.items())},
         }
-
-    def merge(self, other: "PerfRegistry | dict") -> None:
-        """Fold another registry's numbers into this one.
-
-        Accepts a :class:`PerfRegistry`, a :meth:`snapshot` dict, or a
-        :meth:`delta` dict — whatever a worker process shipped back.
-        Counters add; timers add (they accumulate wall seconds).  This
-        is how sharded planning keeps worker-side cache hits visible:
-        each worker collects into its own process-global registry,
-        returns a snapshot delta with its results, and the parent
-        merges, so the parent's counters cover the whole fleet.
-        """
-        if isinstance(other, PerfRegistry):
-            counters, timers = other.counters, other.timers
-        else:
-            counters = other.get("counters", {})
-            timers = other.get("timers", {})
-        for name, amount in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + int(amount)
-        for name, seconds in timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + float(seconds)
-
-    def delta(self, since: dict) -> dict[str, dict[str, float]]:
-        """The numbers accrued since an earlier :meth:`snapshot`.
-
-        Returns a snapshot-shaped dict holding only positive
-        differences — the payload a worker sends back per task so
-        re-merging can never double-count work reported earlier.
-        """
-        base_counters = since.get("counters", {})
-        base_timers = since.get("timers", {})
-        counters = {
-            name: value - int(base_counters.get(name, 0))
-            for name, value in sorted(self.counters.items())
-            if value - int(base_counters.get(name, 0)) > 0}
-        timers = {
-            name: round(seconds - float(base_timers.get(name, 0.0)), 6)
-            for name, seconds in sorted(self.timers.items())
-            if seconds - float(base_timers.get(name, 0.0)) > 0}
-        return {"counters": counters, "timers": timers}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.enabled else "off"

@@ -1,16 +1,15 @@
 """Process fan-out with a deterministic in-order merge.
 
 This is the one place the experiments layer constructs a
-:class:`~concurrent.futures.ProcessPoolExecutor` (the REP013 lint rule
-keeps ad-hoc pools out of ``repro/experiments/``).  The contract is the
-one the PR-2 study runner established: tasks are pure functions of
-their item (all randomness forked from ``(seed, name, index)``), so
-results can be yielded in submission order and any worker count is
-bit-identical to the sequential path.
-
-The long-lived sharded engine (``repro.flow.sharded``) keeps its own
-executor: it needs per-process initializers and shared-memory calendar
-exports, a different seam from the fire-and-merge fan-out here.
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Process fan-out
+lives in :mod:`repro.platform` only: the REP013 lint rule keeps ad-hoc
+pools out of ``repro/experiments/``, ``repro/core/`` and
+``repro/flow/`` (the sharded lane, ``repro.flow.sharded``, plans
+in-process).  The contract is the one the PR-2 study runner
+established: tasks are pure functions of their item (all randomness
+forked from ``(seed, name, index)``), so results can be yielded in
+submission order and any worker count is bit-identical to the
+sequential path.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ from repro.analysis.lint import main as lint_main
 from repro.cli import main as repro_main
 
 ERROR_SOURCE = "bad = x == 4.0\n"
-#: REP005 is warning severity; the path makes it fire.
-WARNING_SOURCE = ("def best_from(rows):\n"
-                  "    for row in rows:\n"
-                  "        start = row.calendar.earliest_fit(5)\n"
-                  "    return start\n")
+#: REP013 is warning severity; the core/ path makes it fire.
+WARNING_SOURCE = ("from concurrent.futures import ProcessPoolExecutor\n"
+                  "def fan_out(work, items):\n"
+                  "    with ProcessPoolExecutor() as pool:\n"
+                  "        return list(pool.map(work, items))\n")
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def tree(tmp_path):
     core = tmp_path / "src" / "repro" / "core"
     core.mkdir(parents=True)
     (core / "bad.py").write_text(ERROR_SOURCE)
-    (core / "dp.py").write_text(WARNING_SOURCE)
+    (core / "fanout.py").write_text(WARNING_SOURCE)
     (core / "ok.py").write_text("def f(x=None):\n    return x\n")
     return core
 
@@ -35,8 +35,8 @@ def test_exit_codes(tree, capsys):
     assert "REP002" in out and "1 error(s)" in out
 
     # Warnings gate only under --strict.
-    assert lint_main([str(tree / "dp.py")]) == 0
-    assert lint_main([str(tree / "dp.py"), "--strict"]) == 1
+    assert lint_main([str(tree / "fanout.py")]) == 0
+    assert lint_main([str(tree / "fanout.py"), "--strict"]) == 1
     capsys.readouterr()
 
 

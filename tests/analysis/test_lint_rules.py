@@ -1,13 +1,12 @@
 """Golden fixtures per rule: a violating and a sanctioned snippet pair
-for every rule REP001–REP011, plus the regression cases the engine
-rebuild was meant to catch (aliased imports, scope shadowing, the
+for every rule REP001–REP004 and REP006–REP013, plus the regression
+cases the engine rebuild was meant to catch (aliased imports, scope shadowing, the
 REP003 scope extension to core/flow)."""
 
 from repro.analysis.lint import lint_source
 
 CORE = "src/repro/core/x.py"
 FLOW = "src/repro/flow/x.py"
-DP = "src/repro/core/dp.py"
 
 
 def codes(violations):
@@ -160,42 +159,6 @@ def test_rep004_pair():
                   "def f(xs=[]):\n"
                   "    return xs\n")
     assert run(sanctioned, only="REP004") == []
-
-
-# ---------------------------------------------------------------------
-# REP005 scalar-fit-in-loop (core/dp.py only)
-# ---------------------------------------------------------------------
-
-SCALAR_FIT_LOOP = ("def best_from(rows):\n"
-                   "    for row in rows:\n"
-                   "        start = row.calendar.earliest_fit(5)\n"
-                   "    return start\n")
-
-
-def test_rep005_pair():
-    found = run(SCALAR_FIT_LOOP, path=DP, only="REP005")
-    assert len(found) == 1
-    assert "scalar-fallback" in found[0].message
-    sanctioned = ("def best_from(rows):\n"
-                  "    for row in rows:\n"
-                  "        # lint: scalar-fallback (COW snapshot)\n"
-                  "        start = row.calendar.earliest_fit(5)\n"
-                  "    return start\n")
-    assert run(sanctioned, path=DP, only="REP005") == []
-
-
-def test_rep005_scope_and_loop_depth():
-    assert run(SCALAR_FIT_LOOP, path=CORE, only="REP005") == []
-    flat = "def probe(c):\n    return c.earliest_fit(5)\n"
-    assert run(flat, path=DP, only="REP005") == []
-    comp = ("def probe(rows):\n"
-            "    return [r.calendar.earliest_fit(5) for r in rows]\n")
-    assert len(run(comp, path=DP, only="REP005")) == 1
-    nested = ("def outer(rows):\n"
-              "    for row in rows:\n"
-              "        def helper(c):\n"
-              "            return c.earliest_fit(5)\n")
-    assert run(nested, path=DP, only="REP005") == []
 
 
 # ---------------------------------------------------------------------
@@ -591,7 +554,7 @@ def test_rep008_cross_shard_read_in_seam_is_fine():
 
 
 # ---------------------------------------------------------------------
-# REP013 ad-hoc-study-plumbing (experiments)
+# REP013 ad-hoc-study-plumbing (experiments; pools also core/flow)
 # ---------------------------------------------------------------------
 
 EXP = "src/repro/experiments/x.py"
@@ -630,11 +593,17 @@ def test_rep013_scope_helpers_and_sanctions_are_fine():
     cell = ("def cell(config):\n"
             "    return {'expense': 1}\n")
     assert run(cell, path=EXP, only="REP013") == []
-    # Outside experiments/ the rule never fires.
+    # Process fan-out lives in repro.platform only: a pool in core/ or
+    # flow/ is caught, while the raw-dict check stays experiments-only.
     pool = ("from concurrent.futures import ProcessPoolExecutor\n"
             "def run_bench():\n"
             "    return {'pool': ProcessPoolExecutor()}\n")
-    assert run(pool, path=CORE, only="REP013") == []
+    for path in (CORE, FLOW):
+        found = run(pool, path=path, only="REP013")
+        assert len(found) == 1, path
+        assert "ProcessPoolExecutor" in found[0].message
+    assert run(pool, path="src/repro/platform/pool.py",
+               only="REP013") == []
     # The standard escape hatch sanctions a line.
     sanctioned = ("def run_probe():\n"
                   "    # lint: platform-ok (diagnostic payload)\n"

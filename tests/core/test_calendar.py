@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.calendar import (
+    GAP_HORIZON,
     Reservation,
     ReservationCalendar,
     ReservationConflict,
@@ -209,31 +210,6 @@ def test_versions_are_globally_unique():
     assert first.version != second.version
 
 
-def test_from_busy_bulk_load_matches_reserve():
-    starts, ends = [0, 10, 30], [5, 12, 31]
-    bulk = ReservationCalendar.from_busy(starts, ends, tag="bg")
-    incremental = ReservationCalendar()
-    for start, end in zip(starts, ends):
-        incremental.reserve(start, end, tag="bg")
-    assert [(r.start, r.end, r.tag) for r in bulk.reservations] == [
-        (r.start, r.end, r.tag) for r in incremental.reservations]
-    assert bulk.earliest_fit(4) == incremental.earliest_fit(4)
-
-
-def test_from_busy_accepts_back_to_back_and_empty():
-    touching = ReservationCalendar.from_busy([0, 5], [5, 9])
-    assert [(r.start, r.end) for r in touching.reservations] == [
-        (0, 5), (5, 9)]
-    assert ReservationCalendar.from_busy([], []).reservations == []
-
-
-def test_from_busy_rejects_overlap_and_disorder():
-    with pytest.raises(ReservationConflict):
-        ReservationCalendar.from_busy([0, 3], [5, 9])
-    with pytest.raises(ReservationConflict):
-        ReservationCalendar.from_busy([10, 0], [12, 5])
-
-
 def test_release_prefix_removes_all_matches_in_one_pass():
     calendar = ReservationCalendar()
     calendar.reserve(0, 2, tag="j1:t1")
@@ -267,8 +243,13 @@ MUTATIONS = {
 }
 
 
+def _two_busy_spans():
+    return ReservationCalendar([Reservation(0, 5, "bg"),
+                                Reservation(10, 12, "bg")])
+
+
 def test_fit_witnesses_are_per_version_and_per_query_shape():
-    calendar = ReservationCalendar.from_busy([0, 10], [5, 12], tag="bg")
+    calendar = _two_busy_spans()
     witnesses = calendar.fit_witnesses(3, 30)
     assert witnesses == ([], [])
     assert calendar.fit_witnesses(3, 30) is witnesses
@@ -280,7 +261,7 @@ def test_fit_witnesses_are_per_version_and_per_query_shape():
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("mutated_side", ["origin", "clone"])
 def test_every_mutation_starts_fresh_fit_witnesses(mutation, mutated_side):
-    calendar = ReservationCalendar.from_busy([0, 10], [5, 12], tag="bg")
+    calendar = _two_busy_spans()
     witnesses = calendar.fit_witnesses(3, 30)
     witnesses[0].append(0)
     witnesses[1].append(5)
@@ -299,3 +280,22 @@ def test_no_op_release_keeps_fit_witnesses():
     assert calendar.release_tag("other") == 0
     assert calendar.release_prefix("other") == 0
     assert calendar.fit_witnesses(3, 30) is witnesses
+
+
+def test_gap_table_layout_keeps_zero_length_gaps():
+    """n reservations give n + 1 gaps, sentinel-bounded; back-to-back
+    reservations leave a zero-length gap, so gap k + 1 still opens at
+    reservation k's end."""
+    calendar = ReservationCalendar([Reservation(5, 10, "a"),
+                                    Reservation(10, 15, "b")])
+    table = calendar.gap_table()
+    assert table.version == calendar.version
+    assert table.gap_start.tolist() == [-GAP_HORIZON, 10, 15]
+    assert table.gap_end.tolist() == [5, 10, GAP_HORIZON]
+    assert table.gap_len.tolist() == [5 + GAP_HORIZON, 0,
+                                      GAP_HORIZON - 15]
+    assert table.last_end == 15
+    empty = ReservationCalendar().gap_table()
+    assert empty.gap_start.tolist() == [-GAP_HORIZON]
+    assert empty.gap_end.tolist() == [GAP_HORIZON]
+    assert empty.last_end == 0

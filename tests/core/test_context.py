@@ -250,35 +250,14 @@ def test_gap_table_cached_by_content_version():
     assert context.gap_table(calendar) is table
 
 
-def test_gap_table_probe_does_not_build():
-    context = SchedulingContext()
-    calendar = ReservationCalendar()
-    assert context.gap_table(calendar, build=False) is None
-    context.gap_table(calendar)  # materialize
-    assert context.gap_table(calendar, build=False) is not None
-
-
 def test_mutation_invalidates_gap_table_by_version():
     context = SchedulingContext()
     calendar = ReservationCalendar()
     stale = context.gap_table(calendar)
     calendar.reserve(0, 5, "bg")  # version bump
-    assert context.gap_table(calendar, build=False) is None
     fresh = context.gap_table(calendar)
     assert fresh is not stale
-
-
-def test_stacked_tables_cached_by_version_sequence():
-    context = SchedulingContext()
-    calendars = [ReservationCalendar() for _ in range(3)]
-    for at, calendar in enumerate(calendars):
-        calendar.reserve(at, at + 2, "bg")
-    tables = [context.gap_table(calendar) for calendar in calendars]
-    stacked = context.stack_gap_tables(tables)
-    assert context.stack_gap_tables(tables) is stacked
-    versions = tuple(table.version for table in tables)
-    assert context.cached_stack(versions) is stacked
-    assert context.cached_stack((999999,)) is None
+    assert fresh.version == calendar.version != stale.version
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +269,10 @@ def test_stats_reports_every_context_cache():
     stats = context.stats({})
     for name in CONTEXT_CACHE_NAMES:
         assert name in stats, name
-    for name in ("placement.gap_table", "placement.stack"):
-        assert stats[name]["policy"] == "lru"
-        assert stats[name]["entries"] == 0
-        assert stats[name]["capacity"] >= 1
+    gaps = stats["placement.gap_table"]
+    assert gaps["policy"] == "lru"
+    assert gaps["entries"] == 0
+    assert gaps["capacity"] >= 1
     # Fit witnesses live on calendar versions: counters only, no storage.
     assert stats["dp.fit_cache"] == {"hits": 0, "misses": 0,
                                      "hit_rate": 0.0,

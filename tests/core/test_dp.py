@@ -383,3 +383,56 @@ def test_hint_on_infeasible_instance_still_returns_none():
     hint = {"A": 1, "B": 1, "C": 1}
     assert allocate_chain(job, chain, pool, empty_calendars(pool), 3,
                           hint=hint) is None
+
+
+def test_whole_pool_calls_report_the_same_expense_with_or_without_context(
+        monkeypatch):
+    """Every DP call of the critical works method on a loaded whole-pool
+    VO returns the same placements, cost and ``evaluations`` — the
+    paper's generation-expense metric — whether or not it runs through
+    the scheduler's context.
+
+    Each spied call is re-run at once on the same calendars with
+    ``context=None``; ``fixed`` is copied first because the caller
+    mutates it after the call returns.
+    """
+    import repro.core.critical_works as critical_works
+    from repro.core.critical_works import CriticalWorksScheduler
+    from repro.grid.environment import GridEnvironment
+    from repro.sim import RandomStreams
+    from repro.workload.generator import generate_job, generate_pool
+
+    pool = generate_pool(RandomStreams(5).stream("pool"))
+    assert len(pool) == 25
+    streams = RandomStreams(2009)
+    grid = GridEnvironment(pool)
+    grid.apply_background_load(streams.stream("background"), 0.5, 400)
+
+    real = critical_works.allocate_chain
+    mismatches = []
+    calls = 0
+
+    def spy(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        fixed = dict(kwargs["fixed"])
+        result = real(*args, **kwargs)
+        bare = real(*args, **dict(kwargs, fixed=fixed, context=None))
+        if result is None or bare is None:
+            if (result is None) != (bare is None):
+                mismatches.append((args[1], "feasibility"))
+        elif (result.placements != bare.placements
+              or result.cost != bare.cost
+              or result.evaluations != bare.evaluations):
+            mismatches.append((args[1], result.evaluations,
+                               bare.evaluations))
+        return result
+
+    monkeypatch.setattr(critical_works, "allocate_chain", spy)
+    scheduler = CriticalWorksScheduler(pool)
+    for index in range(15):
+        job = generate_job(streams.fork("jobs", index), index)
+        for level in (0.0, 0.5, 1.0):
+            scheduler.build_schedule(job, grid.snapshot(), level=level)
+    assert calls > 200
+    assert mismatches == []

@@ -9,8 +9,6 @@ workloads a large share of their wall time and peak memory.
 
 import gc
 
-import pytest
-
 from repro.core.calendar import ReservationCalendar
 from repro.core.dp import allocate_chain
 from repro.core.job import DataTransfer, Job, Task
@@ -31,7 +29,7 @@ def _generate(generator, grid, streams, indices):
             generator.generate(job, grid.snapshot(), stype)
 
 
-def _infeasible(engine):
+def _infeasible():
     """A chain whose deadline no node can meet (the DP returns None)."""
     job = Job("tight",
               [Task("A", volume=20, best_time=4),
@@ -40,25 +38,23 @@ def _infeasible(engine):
     pool = ResourcePool([ProcessorNode(node_id=1, performance=1.0),
                          ProcessorNode(node_id=2, performance=0.5)])
     calendars = {node.node_id: ReservationCalendar() for node in pool}
-    return allocate_chain(job, ["A", "B"], pool, calendars, 5,
-                          engine=engine)
+    return allocate_chain(job, ["A", "B"], pool, calendars, 5)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batch"])
-def test_generation_and_infeasible_dp_leave_no_cycles(engine):
+def test_generation_and_infeasible_dp_leave_no_cycles():
     streams = RandomStreams(7)
     pool = generate_pool(streams.stream("pool"))
     grid = GridEnvironment(pool)
     grid.apply_background_load(streams.stream("background"), 0.5, 400)
-    generator = StrategyGenerator(pool, engine=engine)
+    generator = StrategyGenerator(pool)
     # Warm-up: imports and lazily built module state are not garbage.
     _generate(generator, grid, streams, [0])
-    _infeasible(engine)
+    _infeasible()
     gc.collect()
     gc.disable()
     try:
         _generate(generator, grid, streams, range(1, 4))
-        assert _infeasible(engine) is None
+        assert _infeasible() is None
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -1,18 +1,10 @@
-"""Differential tests for the sharded batch engine.
+"""Tests for the sharded lane.
 
-The engine's whole contract is in two equalities:
-
-* the *shard count* is semantic — different shard counts are allowed
-  to (and do) produce different schedules, but every run is
-  deterministic; and
-* the *worker count* is pure transport — for any shard count, any
-  worker count is bit-identical to the in-process lane (``workers=1``),
-  which these tests assert through :meth:`ShardedSimulation.digest`
-  (the content hash of every committed reservation and every outcome).
-
-The configs here are deliberately small (hundreds of jobs) but use a
-tiny ``sync_interval`` so the worker lane is forced through several
-shared-memory re-exports and delta-log replays per run.
+The *shard count* is semantic — different shard counts are allowed to
+(and do) produce different schedules — but every run is deterministic,
+which these tests assert through :meth:`ShardedSimulation.digest` (the
+content hash of every committed reservation and every outcome).
+Planning is in-process only: ``workers`` accepts nothing but 1.
 """
 
 import pytest
@@ -32,10 +24,9 @@ def make_pool(seed=42, nodes=24, domains=6):
                          domains=domains)
 
 
-def run_sharded(shards, workers=1, jobs=300, sync_interval=8, **overrides):
+def run_sharded(shards, jobs=300, **overrides):
     config = ShardedConfig(jobs=jobs, mean_interarrival=0.05, window=4,
-                           shards=shards, workers=workers,
-                           sync_interval=sync_interval, **overrides)
+                           shards=shards, **overrides)
     simulation = ShardedSimulation(
         make_pool(), seed=7, config=config,
         job_factory=template_workload_factory((5.0, 3.0, 1.0)))
@@ -50,10 +41,10 @@ def test_config_validation():
         ShardedConfig(shards=0)
     with pytest.raises(ValueError):
         ShardedConfig(workers=0)
+    with pytest.raises(ValueError, match="workers=1"):
+        ShardedConfig(workers=2)
     with pytest.raises(ValueError):
         ShardedConfig(window=0)
-    with pytest.raises(ValueError):
-        ShardedConfig(sync_interval=0)
     with pytest.raises(ValueError):
         ShardedConfig(conflict_retries=-1)
     with pytest.raises(ValueError):
@@ -95,22 +86,6 @@ def test_commits_only_touch_the_jobs_own_shard():
         assert outcome.shard == outcome.index % len(simulation.planners)
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-@pytest.mark.parametrize("workers", [2, 4])
-def test_worker_lane_is_bit_identical(shards, workers):
-    """Any worker count reproduces the in-process lane bit for bit."""
-    sequential = run_sharded(shards=shards, workers=1)
-    fanned = run_sharded(shards=shards, workers=workers)
-    assert fanned.digest() == sequential.digest()
-
-
-def test_tiny_sync_interval_forces_reexports():
-    """With sync_interval=1 every window re-exports; still identical."""
-    sequential = run_sharded(shards=2, workers=1, jobs=150)
-    fanned = run_sharded(shards=2, workers=2, jobs=150, sync_interval=1)
-    assert fanned.digest() == sequential.digest()
-
-
 def test_coarse_seed_tier_is_bit_identical(monkeypatch):
     """Disabling the coarse fallback must not change any schedule.
 
@@ -123,25 +98,6 @@ def test_coarse_seed_tier_is_bit_identical(monkeypatch):
                         lambda self, stype, domain, node_ids: None)
     without_coarse = run_sharded(shards=2, jobs=150)
     assert without_coarse.digest() == with_coarse.digest()
-
-
-def test_worker_perf_counters_are_merged():
-    """Planning counters from worker processes land in the parent."""
-    PERF.enable()
-    try:
-        base = PERF.snapshot()
-        run_sharded(shards=2, workers=2, jobs=100)
-        delta = PERF.delta(base)
-    finally:
-        PERF.disable()
-    # All planning happened in the workers; without the merge these
-    # counters would read zero in the parent.
-    counters = delta["counters"]
-    planned = sum(counters.get(name, 0)
-                  for name in ("flow.plan_cache_hits",
-                               "flow.plan_cache_misses",
-                               "flow.plan_repairs"))
-    assert planned > 0
 
 
 def test_stats_merge_all_shard_contexts():

@@ -97,44 +97,3 @@ def test_cache_stats_derives_hit_rates():
         "hits": 30, "misses": 10, "hit_rate": 0.75}
     assert stats["flow.plan_cache"]["hit_rate"] == 0.0
     assert cache_stats({}) == {}
-
-
-def test_merge_folds_registry_and_dict(registry):
-    registry.incr("a", 2)
-    other = PerfRegistry()
-    other.incr("a", 3)
-    other.incr("b")
-    other.timers["phase"] = 0.5
-    registry.merge(other)
-    assert registry.counters == {"a": 5, "b": 1}
-    assert registry.timers == {"phase": 0.5}
-    registry.merge({"counters": {"b": 4}, "timers": {"phase": 0.25}})
-    assert registry.counters == {"a": 5, "b": 5}
-    assert registry.timers == {"phase": 0.75}
-
-
-def test_delta_reports_only_positive_differences(registry):
-    registry.incr("a", 2)
-    registry.incr("steady", 7)
-    base = registry.snapshot()
-    registry.incr("a", 3)
-    registry.incr("fresh")
-    delta = registry.delta(base)
-    assert delta == {"counters": {"a": 3, "fresh": 1}, "timers": {}}
-
-
-def test_delta_then_merge_round_trips(registry):
-    """The worker protocol: merging a delta never double-counts."""
-    worker = PerfRegistry()
-    worker.incr("flow.plan_cache_hits", 10)
-    base = worker.snapshot()
-    worker.incr("flow.plan_cache_hits", 4)
-    worker.incr("flow.plan_repairs", 2)
-    registry.merge(worker.delta(base))
-    assert registry.counters == {"flow.plan_cache_hits": 4,
-                                 "flow.plan_repairs": 2}
-    # A second task on the same worker reports from a fresh base.
-    base = worker.snapshot()
-    worker.incr("flow.plan_cache_hits", 1)
-    registry.merge(worker.delta(base))
-    assert registry.counters["flow.plan_cache_hits"] == 5

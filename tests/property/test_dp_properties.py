@@ -21,8 +21,40 @@ chain_specs = st.lists(
               st.integers(1, 40)),     # volume
     min_size=1, max_size=4,
 )
-perf_sets = st.lists(st.sampled_from([1.0, 0.5, 1 / 3]),
-                     min_size=1, max_size=3, unique=True)
+#: Widest pool drawn: past the dozen-node mark, so whole-pool widths are
+#: checked against the exhaustive reference, not just toy pools.
+MAX_POOL = 14
+#: Chains on pools wider than this are capped at three tasks, keeping
+#: the exhaustive search (pool size ** chain length) cheap.
+WIDE_POOL = 6
+
+
+@st.composite
+def loaded_pools(draw):
+    """A pool of up to ``MAX_POOL`` nodes with pre-loaded calendars.
+
+    Half the draws are small pools, half whole-pool widths (a dozen
+    nodes or more), so both regimes get examples.
+    """
+    size = draw(st.one_of(st.integers(1, WIDE_POOL),
+                          st.integers(12, MAX_POOL)))
+    performances = draw(st.lists(st.sampled_from([1.0, 0.5, 1 / 3]),
+                                 min_size=size, max_size=size))
+    pool = ResourcePool([ProcessorNode(node_id=i + 1, performance=p)
+                         for i, p in enumerate(performances)])
+    calendars = {}
+    for node in pool:
+        calendar = ReservationCalendar()
+        cursor = 0
+        busy = draw(st.lists(st.tuples(st.integers(0, 6),    # idle gap
+                                       st.integers(1, 5)),   # busy span
+                             max_size=4))
+        for gap, length in busy:
+            cursor += gap
+            calendar.reserve(cursor, cursor + length, tag="bg")
+            cursor += length
+        calendars[node.node_id] = calendar
+    return pool, calendars
 
 
 def build_chain_job(specs, deadline):
@@ -33,8 +65,13 @@ def build_chain_job(specs, deadline):
     return Job("chain", tasks, transfers, deadline=deadline)
 
 
-def brute_force(job, chain, pool, deadline):
-    """Exhaustive min cost over node choices with earliest-start timing."""
+def brute_force(job, chain, pool, calendars, deadline):
+    """Exhaustive min cost over node choices with earliest-fit timing.
+
+    For a fixed node sequence, taking each task's earliest fit is
+    optimal: an earlier end never shrinks what later tasks can reach,
+    and the cost model is start-invariant.
+    """
     model = VolumeOverTimeCost()
     best = None
     for nodes in itertools.product(list(pool), repeat=len(chain)):
@@ -45,9 +82,10 @@ def brute_force(job, chain, pool, deadline):
             if previous is not None and previous.node_id != node.node_id:
                 lag = job.transfer_between(chain[position - 1],
                                            task_id).base_time
-            start = ready + lag
             duration = job.task(task_id).duration_on(node.performance)
-            if start + duration > deadline:
+            start = calendars[node.node_id].earliest_fit(
+                duration, earliest=ready + lag, deadline=deadline)
+            if start is None:
                 feasible = False
                 break
             cost += model.task_cost(
@@ -61,16 +99,16 @@ def brute_force(job, chain, pool, deadline):
     return best
 
 
-@given(chain_specs, perf_sets, st.integers(3, 30))
+@given(chain_specs, loaded_pools(), st.integers(3, 40))
 @settings(max_examples=60, deadline=None)
-def test_dp_matches_brute_force(specs, performances, deadline):
+def test_dp_matches_brute_force(specs, loaded, deadline):
+    pool, calendars = loaded
+    if len(pool) > WIDE_POOL:
+        specs = specs[:3]
     job = build_chain_job(specs, deadline)
-    pool = ResourcePool([ProcessorNode(node_id=i + 1, performance=p)
-                         for i, p in enumerate(performances)])
-    calendars = {n.node_id: ReservationCalendar() for n in pool}
     chain = list(job.tasks)
     result = allocate_chain(job, chain, pool, calendars, deadline)
-    expected = brute_force(job, chain, pool, deadline)
+    expected = brute_force(job, chain, pool, calendars, deadline)
     if expected is None:
         assert result is None
     else:
