@@ -85,19 +85,19 @@ _VERSIONED_CACHES = frozenset({"plans", "_gap_tables"})
 #: Identifier substrings that count as a version/epoch guard (REP008).
 _GUARD_TOKENS = ("version", "epoch")
 
-#: Caches of the two-tier plan cache kind: keys lead with a semantic
-#: job-shape hash and end in an epoch slice, so reads must visibly
-#: involve BOTH a shape/structure token and a version/epoch token
-#: (REP008).  A read guarded on epochs alone can still alias plans of
-#: structurally different jobs; a read guarded on shape alone serves
-#: plans across calendar drift.
-_SHAPE_KEYED_CACHES = frozenset({"plans"})
+#: Caches of the plan cache kind: keys lead with the job's structural
+#: hash and end in an epoch slice, so reads must visibly involve BOTH a
+#: structure token and a version/epoch token (REP008).  A read guarded
+#: on epochs alone can still alias plans of structurally different
+#: jobs; a read guarded on structure alone serves plans across calendar
+#: drift.
+_STRUCT_KEYED_CACHES = frozenset({"plans"})
 
-#: Identifier substrings that count as a shape/structure guard (REP008).
-_SHAPE_TOKENS = ("shape", "struct")
+#: Identifier substrings that count as a structure guard (REP008).
+_STRUCT_TOKENS = ("struct",)
 
 #: Method names that read an entry out of a cache (REP008); plain
-#: mapping caches expose ``get``, the two-tier plan cache ``lookup``.
+#: mapping caches expose ``get``, the plan cache ``lookup``.
 _CACHE_READ_METHODS = frozenset({"get", "lookup"})
 
 #: Order-free consumers: passing a set to these is not an ordered
@@ -141,7 +141,7 @@ _SHARD_COLLECTIONS = frozenset({
 #: caches, and perf registries.
 _SHARD_MUTATOR_METHODS = _MUTATOR_METHODS | frozenset({
     "reserve", "release", "release_tag", "release_prefix",
-    "store", "store_coarse", "incr", "adopt", "merge",
+    "store", "incr", "adopt", "merge",
 })
 
 #: Function-name substrings that mark the sanctioned seam (REP007/
@@ -697,16 +697,16 @@ def check_unguarded_cache_read(model: ModuleModel
                 f"the lookup on the content version / epoch slice (or "
                 f"mark `# lint: epoch-keyed` with the guard's location)")
             continue
-        if cache_name in _SHAPE_KEYED_CACHES and \
-                not guarded(site, _SHAPE_TOKENS):
+        if cache_name in _STRUCT_KEYED_CACHES and \
+                not guarded(site, _STRUCT_TOKENS):
             yield _finding(
                 model, site, "REP008", "unguarded-cache-read",
                 Severity.ERROR,
-                f"read of shape-keyed plan cache `{cache_name}` in a "
+                f"read of structure-keyed plan cache `{cache_name}` in a "
                 f"function that references an epoch/version but never a "
-                f"shape or structural hash — the lookup could alias "
-                f"plans of structurally different jobs; key it on the "
-                f"job's shape/structural hash as well (or mark "
+                f"structural hash — the lookup could alias plans of "
+                f"structurally different jobs; key it on the job's "
+                f"structural hash as well (or mark "
                 f"`# lint: epoch-keyed` with the guard's location)")
 
 

@@ -30,14 +30,12 @@ die with it:
   template-derived jobs that share a structure share durations, lags,
   rankings, and path enumerations, and one context stays safe to
   share across families, domains, and a whole online run;
-* the flow layer's plan cache is **two-tier** (:class:`PlanCache`):
-  an outer LRU of *plan skeletons* keyed on the job's order- and
-  label-independent :attr:`~repro.core.job.Job.shape_hash` plus the
-  strategy family and domain, each holding a handful of concrete
-  strategies keyed on (structural hash, release, domain epoch slice).
-  An exact variant hit is a free plan; a same-structure sibling with
-  drifted epochs seeds an incremental *repair* (warm-started
-  regeneration, bit-identical to a cold replan);
+* the flow layer's plan cache (:class:`PlanCache`) is an LRU of
+  entries keyed on the job's structural hash, the strategy family and
+  the domain, each holding a handful of concrete strategies keyed on
+  (release, domain epoch slice).  An exact variant hit is a free plan;
+  a sibling with drifted epochs seeds an incremental *repair*
+  (warm-started regeneration, bit-identical to a cold replan);
 * one :meth:`stats` surface reports every cache's hit rate, size, and
   eviction count.
 
@@ -81,16 +79,12 @@ V = TypeVar("V")
 
 #: Gap tables retained (one per live calendar content version).
 DEFAULT_GAP_TABLE_CAPACITY = 8192
-#: Plan skeletons (shape × family × domain) retained by the flow layer.
+#: Plan entries (structure × family × domain) retained by the flow layer.
 DEFAULT_PLAN_CAPACITY = 4096
-#: Concrete strategy variants retained per plan skeleton.
+#: Concrete strategy variants retained per plan entry.
 DEFAULT_PLAN_VARIANTS = 8
 #: Distinct job structures whose per-job caches are retained.
 DEFAULT_STRUCT_CAPACITY = 4096
-#: Coarse warm-start seeds retained by the plan cache — one freshest
-#: strategy per (family, domain, pool signature), so the footprint is
-#: tiny even with generous headroom.
-DEFAULT_COARSE_CAPACITY = 512
 
 #: Every cache (or counter pair) the context owns, as reported by
 #: :meth:`SchedulingContext.stats`.  The orphan audit in
@@ -105,7 +99,6 @@ CONTEXT_CACHE_NAMES: Tuple[str, ...] = (
     "critical_works.rank_cache",
     "job.paths_cache",
     "flow.plan_cache",
-    "flow.plan_coarse",
 )
 
 
@@ -166,94 +159,64 @@ class LruCache(Generic[K, V]):
                 f"/{self.capacity}, {self.evictions} evicted>")
 
 
-#: Plan-skeleton key: (job shape hash, strategy family, domain).
-_SkeletonKey = Tuple[str, "StrategyType", str]
-#: Concrete-variant key: (structural hash, release, domain epoch slice).
-_VariantKey = Tuple[str, int, Tuple[int, ...]]
-#: Coarse-seed key: (strategy family, domain, pool signature) — no job
-#: content at all, so unique-shape arrivals still find a warm start.
-_CoarseKey = Tuple["StrategyType", str, Tuple[int, ...]]
+#: Plan-entry key: (structural hash, strategy family, domain).
+_PlanKey = Tuple[str, "StrategyType", str]
+#: Variant key within one entry: (release, domain epoch slice).
+_VariantKey = Tuple[int, Tuple[int, ...]]
 
 
 class PlanCache:
-    """The flow layer's two-tier semantic plan cache.
+    """The flow layer's semantic plan cache.
 
-    The outer tier is an LRU of *plan skeletons* keyed on the job's
-    shape hash (order- and label-independent DAG isomorphism class;
-    :attr:`~repro.core.job.Job.shape_hash`), the strategy family, and
-    the domain — all template-derived siblings of one job shape land in
-    one skeleton.  Each skeleton holds a small recency-ordered set of
-    *concrete variants* keyed on (structural hash, release, domain
-    epoch slice).
+    An LRU of *plan entries* keyed on the job's structural hash
+    (:attr:`~repro.core.job.Job.structural_hash`), the strategy family,
+    and the domain — every template-derived sibling of one labelled
+    structure lands in one entry.  Each entry holds at most
+    :data:`DEFAULT_PLAN_VARIANTS` concrete strategies, recency-ordered
+    and keyed on (release, domain epoch slice).
 
-    Reuse has two grades, both driven by the same skeleton:
+    Reuse has two grades, both read off the same entry:
 
-    * :meth:`lookup` — an **exact** variant: same labelled structure,
-      same release, unchanged epoch slice over the domain's nodes.
-      Generation inputs are then byte-identical and the strategy is
-      served outright (rebound to the requesting job's id).
-    * :meth:`repair_seed` — a **stale sibling**: same labelled
-      structure but drifted release/epochs.  Its per-level node
+    * :meth:`lookup` — an **exact** variant: same release, unchanged
+      epoch slice over the domain's nodes.  Generation inputs are then
+      byte-identical and the strategy is served outright (rebound to
+      the requesting job's id).
+    * :meth:`repair_seed` — a **stale sibling**: the freshest variant
+      of the entry, whatever its release/epochs.  Its per-level node
       assignments seed a warm-started regeneration
       (:meth:`~repro.core.strategy.StrategyGenerator.generate` with
       ``seed_hints``), which patches only the tasks whose placements no
       longer fit; exact branch-and-bound pruning keeps the repaired
       plan bit-identical to a cold replan.
 
-    The shape tier exists so structurally distinct labelings of one
-    shape share skeleton residency (and eviction fate) without ever
-    sharing concrete placements — label-sensitive tie-breaks in
-    generation make cross-label reuse unsound, so exact reuse and
-    repair seeds are always gated on the structural hash.
-
-    Below both graded tiers sits a *coarse* seed tier
-    (:meth:`coarse_seed` / :meth:`store_coarse`): the freshest
-    strategy generated per (family, domain, pool-signature) key,
-    regardless of job shape.  When even the shape hash misses — the
-    all-unique-jobs regime, where every arrival is its own shape —
-    the coarse seed's per-level node assignments still warm-start the
-    DP.  Seeds only ever *hint* the warm start (hints that no longer
-    fit are ignored by exact pruning), so coarse-seeded generation is
-    bit-identical to a cold one; only the work saved differs.
+    The key is the *labelled* structure because label-sensitive
+    tie-breaks in generation make reuse across relabelled jobs unsound.
     """
 
-    __slots__ = ("variant_capacity", "variant_evictions", "_skeletons",
-                 "coarse_capacity", "coarse_evictions", "_coarse")
+    __slots__ = ("variant_evictions", "_entries")
 
-    def __init__(self, name: str, capacity: int,
-                 variant_capacity: int = DEFAULT_PLAN_VARIANTS,
-                 coarse_capacity: int = DEFAULT_COARSE_CAPACITY) -> None:
-        if variant_capacity < 1:
-            raise ValueError(
-                f"variant_capacity must be positive, got {variant_capacity}")
-        if coarse_capacity < 1:
-            raise ValueError(
-                f"coarse_capacity must be positive, got {coarse_capacity}")
-        self.variant_capacity = variant_capacity
+    def __init__(self, name: str, capacity: int) -> None:
         self.variant_evictions = 0
-        self.coarse_capacity = coarse_capacity
-        self.coarse_evictions = 0
-        self._skeletons: LruCache[
-            _SkeletonKey, "OrderedDict[_VariantKey, Strategy]"] = LruCache(
+        self._entries: LruCache[
+            _PlanKey, "OrderedDict[_VariantKey, Strategy]"] = LruCache(
                 name, capacity)
-        self._coarse: "OrderedDict[_CoarseKey, Strategy]" = OrderedDict()
 
     @property
     def name(self) -> str:
-        return self._skeletons.name
+        return self._entries.name
 
     @property
     def capacity(self) -> int:
-        """Skeleton capacity of the outer LRU tier."""
-        return self._skeletons.capacity
+        """Entry capacity of the LRU."""
+        return self._entries.capacity
 
     @property
     def evictions(self) -> int:
-        """Evicted skeletons plus variants displaced within skeletons."""
-        return self._skeletons.evictions + self.variant_evictions
+        """Evicted entries plus variants displaced within entries."""
+        return self._entries.evictions + self.variant_evictions
 
-    def lookup(self, shape_hash: str, structural_hash: str,
-               stype: "StrategyType", domain: str, release: int,
+    def lookup(self, structural_hash: str, stype: "StrategyType",
+               domain: str, release: int,
                epochs: Tuple[int, ...]) -> Optional["Strategy"]:
         """The exact cached strategy for these inputs, or None.
 
@@ -262,97 +225,54 @@ class PlanCache:
         generation inputs are then byte-identical, so reuse is exact.
         Callers count hits/repairs/misses; the cache itself does not.
         """
-        variants = self._skeletons.get((shape_hash, stype, domain))
+        variants = self._entries.get((structural_hash, stype, domain))
         if variants is None:
             return None
-        key = (structural_hash, release, epochs)
+        key = (release, epochs)
         strategy = variants.get(key)
         if strategy is not None:
             variants.move_to_end(key)
         return strategy
 
-    def repair_seed(self, shape_hash: str, structural_hash: str,
-                    stype: "StrategyType", domain: str
-                    ) -> Optional["Strategy"]:
+    def repair_seed(self, structural_hash: str, stype: "StrategyType",
+                    domain: str) -> Optional["Strategy"]:
         """The freshest same-structure variant, release/epochs ignored.
 
         The returned strategy is (presumed) stale — its epochs drifted
         or its release differs — and is only fit to *seed* a repair,
         never to be served as a plan.
         """
-        variants = self._skeletons.get((shape_hash, stype, domain))
+        variants = self._entries.get((structural_hash, stype, domain))
         if variants:
-            for key in reversed(variants):
-                if key[0] == structural_hash:
-                    return variants[key]
+            return next(reversed(variants.values()))
         return None
 
-    def store(self, shape_hash: str, structural_hash: str,
-              stype: "StrategyType", domain: str, release: int,
-              epochs: Tuple[int, ...], strategy: "Strategy") -> None:
-        """Retain a freshly generated strategy under its semantic key."""
-        skeleton_key = (shape_hash, stype, domain)
-        variants = self._skeletons.get(skeleton_key)
+    def store(self, structural_hash: str, stype: "StrategyType",
+              domain: str, release: int, epochs: Tuple[int, ...],
+              strategy: "Strategy") -> None:
+        """Retain a strategy under its semantic key."""
+        entry_key = (structural_hash, stype, domain)
+        variants = self._entries.get(entry_key)
         if variants is None:
             variants = OrderedDict()
-            self._skeletons[skeleton_key] = variants
-        variants[(structural_hash, release, epochs)] = strategy
-        variants.move_to_end((structural_hash, release, epochs))
-        if len(variants) > self.variant_capacity:
+            self._entries[entry_key] = variants
+        key = (release, epochs)
+        variants[key] = strategy
+        variants.move_to_end(key)
+        if len(variants) > DEFAULT_PLAN_VARIANTS:
             variants.popitem(last=False)
             self.variant_evictions += 1
             if PERF.enabled:
                 # lint: counter-ok — fixed per-cache name, pairs registered
                 PERF.incr(f"{self.name}_evictions")
 
-    def coarse_seed(self, stype: "StrategyType", domain: str,
-                    pool_signature: Tuple[int, ...]
-                    ) -> Optional["Strategy"]:
-        """The freshest strategy seen for this (family, domain, pool).
-
-        The fallback seed when the shape hash itself misses: any prior
-        strategy over the same nodes carries per-level node assignments
-        worth hinting the warm-started DP with.  Like
-        :meth:`repair_seed` output, the strategy is only fit to seed —
-        never to be served.  Callers count hits/misses.
-        """
-        key = (stype, domain, pool_signature)
-        strategy = self._coarse.get(key)
-        if strategy is not None:
-            self._coarse.move_to_end(key)
-        return strategy
-
-    def store_coarse(self, stype: "StrategyType", domain: str,
-                     pool_signature: Tuple[int, ...],
-                     strategy: "Strategy") -> None:
-        """Retain the freshest strategy for this (family, domain, pool)."""
-        key = (stype, domain, pool_signature)
-        self._coarse[key] = strategy
-        self._coarse.move_to_end(key)
-        if len(self._coarse) > self.coarse_capacity:
-            self._coarse.popitem(last=False)
-            self.coarse_evictions += 1
-
-    def coarse_count(self) -> int:
-        """Coarse warm-start seeds currently retained."""
-        return len(self._coarse)
-
     def __len__(self) -> int:
-        """Concrete variants retained across every skeleton."""
-        return sum(len(variants) for variants in self._skeletons.values())
-
-    def skeleton_count(self) -> int:
-        """Plan skeletons currently resident in the outer tier."""
-        return len(self._skeletons)
-
-    def clear(self) -> None:
-        """Drop every skeleton, variant, and coarse seed (not churn)."""
-        self._skeletons.clear()
-        self._coarse.clear()
+        """Concrete variants retained across every entry."""
+        return sum(len(variants) for variants in self._entries.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<PlanCache {self.name}: {len(self)} variants in "
-                f"{len(self._skeletons)}/{self.capacity} skeletons, "
+                f"{len(self._entries)}/{self.capacity} entries, "
                 f"{self.evictions} evicted>")
 
 
@@ -369,9 +289,9 @@ class SchedulingContext:
     def __init__(self, gap_table_capacity: int = DEFAULT_GAP_TABLE_CAPACITY,
                  plan_capacity: int = DEFAULT_PLAN_CAPACITY,
                  struct_capacity: int = DEFAULT_STRUCT_CAPACITY) -> None:
-        #: The flow layer's two-tier semantic plan cache (shape-keyed
-        #: skeletons holding epoch-keyed concrete strategies), consumed
-        #: by :class:`~repro.flow.metascheduler.Metascheduler`.
+        #: The flow layer's semantic plan cache (structure-keyed entries
+        #: holding epoch-keyed concrete strategies), read through
+        #: :func:`~repro.flow.sharding.plan_with_cache`.
         self.plans: PlanCache = PlanCache("flow.plan_cache", plan_capacity)
         self._gap_tables: LruCache[int, GapTable] = LruCache(
             "placement.gap_table", gap_table_capacity)
@@ -588,9 +508,8 @@ class SchedulingContext:
                               capacity=gaps.capacity,
                               evictions=gaps.evictions)
         plan_stats = pair(
-            self.plans.name, policy="two-tier-lru",
+            self.plans.name, policy="lru",
             entries=len(self.plans),
-            skeletons=self.plans.skeleton_count(),
             capacity=self.plans.capacity,
             evictions=self.plans.evictions,
             repairs=int(counters.get("flow.plan_repairs", 0)),
@@ -606,14 +525,6 @@ class SchedulingContext:
                   / reads, 4)
             if reads else 0.0)
         out[self.plans.name] = plan_stats
-        # The coarse seed tier below the plan cache: consulted only on
-        # cold misses (no exact variant, no same-structure repair seed),
-        # so hits + misses here equals the plan cache's miss count.
-        out["flow.plan_coarse"] = pair(
-            "flow.plan_coarse", policy="coarse-seed",
-            entries=self.plans.coarse_count(),
-            capacity=self.plans.coarse_capacity,
-            evictions=self.plans.coarse_evictions)
 
         sizes = {"transfer": 0, "duration": 0, "rank": 0, "paths": 0}
         structs = 0
@@ -664,8 +575,7 @@ class Scheduler(Protocol):
 #: across shards by :func:`merged_context_stats`.  Everything else in a
 #: stats entry derives from the (process-global) perf counters and must
 #: be read once, not once per shard.
-_STRUCTURAL_STAT_KEYS = ("entries", "capacity", "evictions", "skeletons",
-                         "structs")
+_STRUCTURAL_STAT_KEYS = ("entries", "capacity", "evictions", "structs")
 
 
 def merged_context_stats(
@@ -679,7 +589,7 @@ def merged_context_stats(
     count into one registry), so they are taken from a single :meth:`~
     SchedulingContext.stats` call — reading them per shard would
     multiply-count.  Structural numbers (entries, capacities,
-    evictions, skeleton and struct counts) are per-context storage and
+    evictions, struct counts) are per-context storage and
     are summed across shards.
     """
     if not contexts:

@@ -197,13 +197,12 @@ class Job:
             self._pred[transfer.dst].append(transfer.src)
 
         self._topo_order = self._compute_topo_order()
-        # Semantic keys, computed on first use: pure functions of the
+        # Semantic key, computed on first use: a pure function of the
         # job structure, which is immutable once construction succeeds.
         self._structural_hash: Optional[str] = None
-        self._shape_hash: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Semantic keys (plan-cache identity)
+    # Semantic key (plan-cache identity)
     # ------------------------------------------------------------------
 
     @property
@@ -217,7 +216,7 @@ class Job:
         distributions and the economic charge).  Two jobs with equal
         structural hashes are identical up to renaming the job, so a
         deterministic generator produces placement-identical strategies
-        for them: the exact-reuse key of the plan cache's concrete tier.
+        for them: the key of the flow layer's plan cache.
         """
         value = self._structural_hash
         if value is None:
@@ -230,65 +229,16 @@ class Job:
             self._structural_hash = value
         return value
 
-    @property
-    def shape_hash(self) -> str:
-        """Canonical job-shape digest: the DAG's isomorphism class.
-
-        Order-independent and label-free — relabelling tasks and
-        transfers or permuting sibling insertion order leaves it
-        unchanged, while any change to the DAG shape, a task's
-        estimations, a transfer's timing, or the deadline changes it.
-        Computed by Weisfeiler–Leman color refinement: each task starts
-        from its estimation signature and iteratively absorbs the
-        sorted multisets of its (edge label, neighbor color) pairs,
-        predecessors and successors kept apart so orientation counts.
-        Jobs sharing a shape but not a structural hash cannot reuse
-        concrete plans bit-identically (tie-breaks in chain ranking and
-        topological order read the labels), so the shape keys the plan
-        cache's *skeleton* tier, grouping template-derived variants.
-        """
-        value = self._shape_hash
-        if value is None:
-            colors = {
-                task.task_id: _sha(repr((task.volume, task.best_time,
-                                         task.worst_time)))
-                for task in self.tasks.values()
-            }
-
-            def edge_label(src: str, dst: str) -> tuple[float, int]:
-                transfer = self._transfer_by_edge[(src, dst)]
-                return (transfer.volume, transfer.base_time)
-
-            partition = len(set(colors.values()))
-            for _ in range(len(self.tasks)):
-                colors = {
-                    tid: _sha(repr((
-                        colors[tid],
-                        sorted((edge_label(pred, tid), colors[pred])
-                               for pred in self._pred[tid]),
-                        sorted((edge_label(tid, succ), colors[succ])
-                               for succ in self._succ[tid]))))
-                    for tid in self.tasks
-                }
-                refined = len(set(colors.values()))
-                if refined == partition:
-                    break  # the partition is stable; more rounds only
-                partition = refined  # relabel within the same classes
-            value = _sha(repr((sorted(colors.values()), self.deadline)))
-            self._shape_hash = value
-        return value
-
     def clone(self, job_id: str, owner: Optional[str] = None) -> "Job":
         """An O(1) copy of this job under a new identity.
 
         The task set, transfer list, dependency maps, topological order
-        and cached semantic keys are all immutable once construction
+        and cached structural hash are all immutable once construction
         succeeded, so the clone *shares* them instead of re-validating
         the DAG — the template-workload path clones one job per arrival
         and must not pay O(tasks + edges) each time.  Only ``job_id``
         and (optionally) ``owner`` differ; neither is covered by the
-        structural or shape hash, so sharing the cached hashes is
-        sound.
+        structural hash, so sharing the cached hash is sound.
         """
         other = object.__new__(type(self))
         other.job_id = job_id
@@ -301,7 +251,6 @@ class Job:
         other._transfer_by_edge = self._transfer_by_edge
         other._topo_order = self._topo_order
         other._structural_hash = self._structural_hash
-        other._shape_hash = self._shape_hash
         return other
 
     # ------------------------------------------------------------------

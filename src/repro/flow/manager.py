@@ -4,7 +4,10 @@ A job manager controls one domain — a group of processor nodes "with
 the similar architecture, contents, administrating policy" — and builds
 and maintains scheduling strategies for the jobs the metascheduler
 routes to it, cooperating with the (simulated) local batch systems via
-resource requests.
+resource requests.  Managers keep no per-job state: the strategies they
+build are reused through the flow layer's plan cache
+(:func:`~repro.flow.sharding.plan_with_cache`), which bounds how many
+are retained.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ class JobManager:
         self.pool = ResourcePool(list(nodes))
         self.generator = StrategyGenerator(self.pool, policy_models,
                                            cost_model, context=context)
-        #: Strategies currently maintained, by job id.
-        self.strategies: dict[str, Strategy] = {}
 
     def plan(self, job: Job,
              calendars: Mapping[int, ReservationCalendar],
@@ -62,7 +63,7 @@ class JobManager:
              seed_hints: Optional[Mapping[float,
                                           Mapping[str, int]]] = None
              ) -> Strategy:
-        """Build (and retain) a strategy for a job on this domain.
+        """Build a strategy for a job on this domain.
 
         ``calendars`` may cover the whole VO; only this domain's node
         calendars are consulted.  ``seed_hints`` (a stale sibling
@@ -72,15 +73,8 @@ class JobManager:
         """
         local = {node.node_id: calendars[node.node_id]
                  for node in self.pool}
-        strategy = self.generator.generate(job, local, stype,
-                                           release=release,
-                                           seed_hints=seed_hints)
-        self.strategies[job.job_id] = strategy
-        return strategy
-
-    def drop(self, job_id: str) -> None:
-        """Forget the strategy of a finished or rejected job."""
-        self.strategies.pop(job_id, None)
+        return self.generator.generate(job, local, stype, release=release,
+                                       seed_hints=seed_hints)
 
     def resource_requests(self, strategy: Strategy) -> list[ResourceRequest]:
         """The requests sent to local batch systems for the chosen

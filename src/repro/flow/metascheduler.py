@@ -87,12 +87,12 @@ class Metascheduler:
         self.conflict_retries = conflict_retries
         #: Session cache layer shared by every domain manager's strategy
         #: generator and by the plan cache below (``context.plans``): a
-        #: two-tier semantic cache — skeletons keyed (job shape hash,
-        #: family, domain), concrete variants keyed (structural hash,
-        #: release, domain epoch slice).  An exact variant hit
-        #: guarantees byte-identical generation inputs (strategy
-        #: generation is deterministic, so reuse is exact); a stale
-        #: same-structure variant instead seeds an incremental repair.
+        #: semantic cache of entries keyed (structural hash, family,
+        #: domain), each holding concrete variants keyed (release,
+        #: domain epoch slice).  An exact variant hit guarantees
+        #: byte-identical generation inputs (strategy generation is
+        #: deterministic, so reuse is exact); a stale variant of the
+        #: same structure instead seeds an incremental repair.
         #: Bounded by per-entry LRU eviction, so a flood of one-shot
         #: keys can no longer wipe hot entries wholesale.
         self.context = context if context is not None else SchedulingContext()
@@ -169,35 +169,23 @@ class Metascheduler:
                       release: int) -> FlowRecord:
         return self._finish(self.plan_job(job, stype, release))
 
-    def _plan_for(self, manager: JobManager, job: Job, stype: StrategyType,
-                  release: int, calendars) -> Strategy:
-        """Plan through the graded semantic plan cache.
-
-        Delegates to :func:`repro.flow.sharding.plan_with_cache` — the
-        one implementation of the exact-hit → warm-repair →
-        coarse-seed → cold-miss ladder shared with the shard planners.
-        The grid stays the epoch authority here (snapshot calendars
-        share the same content versions, so either source is exact).
-        """
-        epochs = self.grid.epoch_slice(manager.pool.node_ids())
-        return plan_with_cache(manager, job, stype, release, calendars,
-                               self.context.plans, epochs=epochs)
-
     def plan_job(self, job: Job, stype: StrategyType,
                  release: int) -> PlannedDispatch:
         """Phase one of dispatch: plan on every domain, pick the cheapest.
 
         Nothing is booked; the returned :class:`PlannedDispatch` can be
-        committed later with :meth:`commit_planned`.  Plans go through
-        the epoch-keyed cache, so re-planning the same job against
-        unchanged domain calendars is free.
+        committed later with :meth:`commit_planned`.  Each manager plans
+        through :func:`~repro.flow.sharding.plan_with_cache`, the
+        exact-hit → warm-repair → cold ladder shared with the shard
+        planners, so re-planning the same job against unchanged domain
+        calendars is free.
         """
         calendars = self.grid.snapshot()
         best: Optional[tuple[JobManager, Strategy]] = None
         best_cost = float("inf")
         for manager in self.managers:
-            strategy = self._plan_for(manager, job, stype, release,
-                                      calendars)
+            strategy = plan_with_cache(manager, job, stype, release,
+                                       calendars, self.context.plans)
             chosen = strategy.best_schedule()
             if chosen is None:
                 continue

@@ -10,7 +10,7 @@ the plan-cache read the metascheduler shares with it:
   the VO's domains into shards (a disjoint cover of the pool;
   property-tested in ``tests/property/test_shard_partition.py``);
 * :func:`plan_with_cache` — the flow layer's graded plan-cache read
-  (exact hit → warm repair → coarse seed → cold generation), factored
+  (exact hit → warm repair → cold generation), factored
   out of the metascheduler so shard planners and the metascheduler
   share one implementation and one set of counters;
 * :class:`ShardPlanner` — one shard's managers over one shard-owned
@@ -66,14 +66,12 @@ def partition_domains(domains: Sequence[str],
 def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
                     release: int,
                     calendars: Mapping[int, ReservationCalendar],
-                    plans: PlanCache, *,
-                    epochs: Optional[Tuple[int, ...]] = None,
-                    retain: bool = True) -> "Strategy":
+                    plans: PlanCache) -> "Strategy":
     """Plan one job on one manager through the semantic plan cache.
 
     The single implementation behind both the metascheduler's
-    ``_plan_for`` and the shard planners, so every lane counts reuse
-    identically.  Reads resolve in four grades:
+    ``plan_job`` and the shard planners, so every lane counts reuse
+    identically.  Reads resolve in three grades:
 
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the
       same structural hash, the same release, and an unchanged epoch
@@ -85,32 +83,20 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
       variant exists but its release/epochs drifted; its per-level
       assignments seed a warm-started regeneration that re-searches
       only what no longer fits, bit-identical to a cold replan;
-    * **coarse seed** (``flow.plan_coarse_hits``) — not even the shape
-      matched (the all-unique-jobs regime), but a strategy was
-      previously generated for this (family, domain, pool signature);
-      its assignments still warm-start the DP.  Seeds only *hint* the
-      warm start — exact pruning ignores hints that no longer fit — so
-      outcomes stay bit-identical to a cold pass;
-    * **cold miss** (``flow.plan_coarse_misses``) — generate with no
+    * **cold miss** (``flow.plan_cache_misses``) — generate with no
       seed at all.
 
-    ``epochs`` is the domain's epoch slice; when omitted it is read off
-    ``calendars`` directly (snapshot copies share content versions with
-    their masters — the same values ``grid.epoch_slice`` reports), so
-    no grid handle is needed.  Freshly generated strategies are stored
-    under their semantic key and as the coarse seed for their (family,
-    domain, pool).  With ``retain=False`` the manager's per-job
-    strategy retention is skipped — the sharded lane plans 10^5+ jobs
-    through long-lived managers and must not accumulate a strategy per
-    job id.
+    The domain's epoch slice is read off ``calendars``: snapshot copies
+    share content versions with their masters — the same values
+    ``grid.epoch_slice`` reports — so no grid handle is needed.
+    Generated strategies are stored under their semantic key; nothing
+    is retained per job id.
     """
-    shape_hash = job.shape_hash
     structural_hash = job.structural_hash
-    node_ids = manager.pool.node_ids()
-    if epochs is None:
-        epochs = tuple(calendars[node_id].version for node_id in node_ids)
-    cached = plans.lookup(shape_hash, structural_hash, stype,
-                          manager.domain, release, epochs)
+    epochs = tuple(calendars[node_id].version
+                   for node_id in manager.pool.node_ids())
+    cached = plans.lookup(structural_hash, stype, manager.domain, release,
+                          epochs)
     if cached is not None:
         if PERF.enabled:
             PERF.incr("flow.plan_cache_hits")
@@ -120,38 +106,21 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
             # epochs — only the recorded job identity differs.
             if PERF.enabled:
                 PERF.incr("flow.plan_rebinds")
-            plans.store(shape_hash, structural_hash, stype,
-                        manager.domain, release, epochs, strategy)
-        if retain:
-            # Keep the manager's retention behaviour identical to a
-            # fresh plan() call.
-            manager.strategies[job.job_id] = strategy
+            plans.store(structural_hash, stype, manager.domain, release,
+                        epochs, strategy)
         return strategy
-    seed = plans.repair_seed(shape_hash, structural_hash, stype,
-                             manager.domain)
+    seed = plans.repair_seed(structural_hash, stype, manager.domain)
+    seed_hints = None
     if seed is not None:
         if PERF.enabled:
             PERF.incr("flow.plan_repairs")
         seed_hints = seed.level_hints()
-    else:
-        if PERF.enabled:
-            PERF.incr("flow.plan_cache_misses")
-        coarse = plans.coarse_seed(stype, manager.domain, node_ids)
-        if coarse is not None:
-            if PERF.enabled:
-                PERF.incr("flow.plan_coarse_hits")
-            seed_hints = coarse.level_hints()
-        else:
-            if PERF.enabled:
-                PERF.incr("flow.plan_coarse_misses")
-            seed_hints = None
+    elif PERF.enabled:
+        PERF.incr("flow.plan_cache_misses")
     strategy = manager.plan(job, calendars, stype, release=release,
                             seed_hints=seed_hints)
-    if not retain:
-        manager.drop(job.job_id)
-    plans.store(shape_hash, structural_hash, stype, manager.domain,
-                release, epochs, strategy)
-    plans.store_coarse(stype, manager.domain, node_ids, strategy)
+    plans.store(structural_hash, stype, manager.domain, release, epochs,
+                strategy)
     return strategy
 
 
@@ -194,16 +163,13 @@ class ShardPlanner:
         """The shard's best offer for a job, or None when inadmissible.
 
         ``calendars`` must cover (at least) the shard's nodes; managers
-        slice their own domains out.  Nothing is booked and nothing is
-        retained per job id (``retain=False`` — see
-        :func:`plan_with_cache`).
+        slice their own domains out.  Nothing is booked.
         """
         best: Optional[Tuple[JobManager, "Strategy"]] = None
         best_cost = float("inf")
         for manager in self.managers:
             strategy = plan_with_cache(manager, job, stype, release,
-                                       calendars, self.context.plans,
-                                       retain=False)
+                                       calendars, self.context.plans)
             chosen = strategy.best_schedule()
             if chosen is None:
                 continue

@@ -62,12 +62,12 @@ Counter names reported by the kernel
     ``placement.gap_rebuilds``); ``placement.gap_table_evictions``
     counts LRU drops.
 ``flow.plan_cache_hits`` / ``flow.plan_cache_misses``
-    Metascheduler strategy reuse through the context's two-tier plan
-    cache, keyed semantically: skeletons by (job shape, family, domain)
-    and concrete variants by (structural hash, release, epoch slice).
-    A hit serves an identically structured plan against provably
-    unchanged calendars; a miss generates cold.
-    ``flow.plan_cache_evictions`` counts LRU drops on either tier.
+    Metascheduler strategy reuse through the context's plan cache,
+    keyed semantically: entries by (structural hash, family, domain),
+    each holding concrete variants by (release, epoch slice).  A hit
+    serves an identically structured plan against provably unchanged
+    calendars; a miss generates cold.  ``flow.plan_cache_evictions``
+    counts dropped entries and variants.
 ``flow.plan_rebinds``
     Exact plan-cache hits whose cached strategy was generated for a
     *different* job id (a template sibling with the same structural
@@ -80,14 +80,6 @@ Counter names reported by the kernel
     re-searches only what no longer fits (bit-identical to a cold
     replan).  The plan-cache *reuse rate* the flow tests floor is
     (hits + repairs) / (hits + repairs + misses).
-``flow.plan_coarse_hits`` / ``flow.plan_coarse_misses``
-    The plan cache's coarse seed tier, consulted only on cold misses
-    (no exact variant, no same-structure repair seed): a hit found a
-    prior strategy for the same (family, domain, pool signature) —
-    regardless of job shape — whose assignments warm-start the
-    regeneration; a miss means generation ran fully cold.  The
-    all-unique-jobs fallback: seeds only hint the warm start, so
-    outcomes stay bit-identical either way.
 ``critical_works.rank_cache_hits`` / ``..._misses``
     Reuse of the context's per-(job, model, pool, level) critical-works
     ranking.

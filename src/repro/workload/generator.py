@@ -27,8 +27,7 @@ from ..core.units import ceil_units
 from ..sim.rng import RandomStreams
 
 __all__ = ["WorkloadConfig", "generate_job", "generate_pool",
-           "generate_workload", "template_workload_factory",
-           "TemplateWorkload"]
+           "generate_workload", "TemplateWorkload"]
 
 
 @dataclass(frozen=True)
@@ -176,25 +175,21 @@ def generate_pool(rng: np.random.Generator,
 class TemplateWorkload:
     """A skewed template workload: few job classes, many arrivals.
 
-    A picklable ``job_factory(rng, index) -> Job`` for
+    A ``job_factory(rng, index) -> Job`` for
     :class:`~repro.flow.simulation.OnlineSimulation` and the sharded
-    batch lane (worker processes regenerate their jobs from indices, so
-    the factory must cross process boundaries — the reason this is a
-    class and not a closure).  Construction is deterministic in its
-    arguments: every unpickled copy rebuilds the same templates,
-    so parent and workers clone identical jobs.
+    lane.  Construction is deterministic in its arguments.
 
     Each arrival picks a template with probability proportional to its
     weight and is cloned under its own ``job_id`` — so arrivals of the
-    same template share a structural hash (and all templates of one DAG
-    shape share a shape hash), the identity the flow layer's plan cache
-    reuses plans across.  This is the flash-crowd profile of a
-    production job flow: a handful of dominant pipelines submitted over
-    and over.  Clones are made with :meth:`~repro.core.job.Job.clone`,
-    which shares the immutable structure and the cached structural and
-    shape hashes (both exclude the job id and owner), so each arrival
-    costs O(1) instead of re-validating the DAG and re-running the WL
-    refinement — the difference is measurable at 10^5-arrival scale.
+    same template share a structural hash, the identity the flow
+    layer's plan cache reuses plans across.  This is the flash-crowd
+    profile of a production job flow: a handful of dominant pipelines
+    submitted over and over.  Clones are made with
+    :meth:`~repro.core.job.Job.clone`, which shares the immutable
+    structure and the cached structural hash (it excludes the job id
+    and owner), so each arrival costs O(1) instead of re-validating the
+    DAG and re-hashing it — the difference is measurable at
+    10^5-arrival scale.
     """
 
     def __init__(self, weights: tuple[float, ...], template_seed: int = 7,
@@ -212,24 +207,16 @@ class TemplateWorkload:
         self.templates = [
             generate_job(streams.fork("template", t), t, config, owner)
             for t in range(len(weights))]
-        # Materialize the hash caches once, so clones copy values
-        # instead of each paying the WL refinement.
+        # Materialize the hash once, so clones copy the value instead
+        # of each re-hashing the template.
         for template in self.templates:
             template.structural_hash
-            template.shape_hash
         total = sum(weights)
         self.cumulative: list[float] = []
         acc = 0.0
         for weight in weights:
             acc += weight / total
             self.cumulative.append(acc)
-
-    def __reduce__(self):
-        # Rebuild from the defining arguments on unpickle: Job objects
-        # themselves are cheaper to regenerate than to serialize, and
-        # determinism guarantees an identical reconstruction.
-        return (type(self), (self.weights, self.template_seed, self.config,
-                             self.owner))
 
     def __call__(self, rng: np.random.Generator, index: int) -> Job:
         draw = float(rng.random())
@@ -239,14 +226,6 @@ class TemplateWorkload:
                 chosen = self.templates[position]
                 break
         return chosen.clone(f"job{index}", owner=self.owner)
-
-
-def template_workload_factory(weights: tuple[float, ...],
-                              template_seed: int = 7,
-                              config: Optional[WorkloadConfig] = None,
-                              owner: str = "user") -> TemplateWorkload:
-    """The (picklable) template workload; see :class:`TemplateWorkload`."""
-    return TemplateWorkload(weights, template_seed, config, owner)
 
 
 def generate_workload(seed: int, n_jobs: int,

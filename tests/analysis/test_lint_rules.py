@@ -302,30 +302,37 @@ def test_rep008_version_or_epoch_guard_passes():
     assert run(guarded, only="REP008") == []
     epoch = ("def lookup(context, grid, job, key):\n"
              "    epochs = grid.epoch_slice(key)\n"
-             "    shape = job.shape_hash\n"
-             "    cached = context.plans.get((shape, key, epochs))\n"
+             "    struct = job.structural_hash\n"
+             "    cached = context.plans.get((struct, key, epochs))\n"
              "    return cached\n")
     assert run(epoch, only="REP008") == []
 
 
-def test_rep008_shape_keyed_plan_reads_need_both_tokens():
-    """`plans` reads must reference a shape/struct token AND an
+def test_rep008_plan_reads_need_struct_and_epoch_tokens():
+    """`plans` reads must reference a structural-hash token AND an
     epoch/version token; either alone is an error."""
     epoch_only = ("def lookup(context, grid, key):\n"
                   "    epochs = grid.epoch_slice(key)\n"
                   "    return context.plans.lookup(key, epochs)\n")
     found = run(epoch_only, only="REP008")
-    assert len(found) == 1 and "shape" in found[0].message
-    shape_only = ("def lookup(context, job, key):\n"
-                  "    shape = job.shape_hash\n"
-                  "    return context.plans.lookup(shape, key)\n")
-    found = run(shape_only, only="REP008")
+    assert len(found) == 1 and "structural hash" in found[0].message
+    struct_only = ("def lookup(context, job, key):\n"
+                   "    struct = job.structural_hash\n"
+                   "    return context.plans.lookup(struct, key)\n")
+    found = run(struct_only, only="REP008")
     assert len(found) == 1 and "epoch" in found[0].message
     both = ("def lookup(context, grid, job, key):\n"
             "    epochs = grid.epoch_slice(key)\n"
-            "    return context.plans.lookup(job.shape_hash, key, epochs)\n")
+            "    return context.plans.lookup(job.structural_hash, key,\n"
+            "                                epochs)\n")
     assert run(both, only="REP008") == []
-    # Plain mapping caches are unaffected by the shape requirement.
+    # Only a `struct` token guards the structure key; `shape` does not.
+    shape = ("def lookup(context, grid, job, key):\n"
+             "    epochs = grid.epoch_slice(key)\n"
+             "    shape = job.digest\n"
+             "    return context.plans.lookup(shape, key, epochs)\n")
+    assert len(run(shape, only="REP008")) == 1
+    # Plain mapping caches are unaffected by the structure requirement.
     gaps = ("def lookup(context, node, key):\n"
             "    version = node.calendar_version\n"
             "    return context._gap_tables.lookup((key, version))\n")
@@ -543,13 +550,14 @@ def test_rep008_cross_shard_cache_read_caught():
 
 def test_rep008_cross_shard_read_in_seam_is_fine():
     """Inside the seam the cross-shard finding is waived; the base
-    guard requirement (shape + epoch tokens for `plans`) still holds."""
+    guard requirement (structure + epoch tokens for `plans`) still
+    holds."""
     seam = ("class Engine:\n"
             "    def _merge_stats(self, i, grid, job, key):\n"
             "        epochs = grid.epoch_slice(key)\n"
-            "        shape = job.shape_hash\n"
+            "        struct = job.structural_hash\n"
             "        return self.planners[i].context.plans.get(\n"
-            "            (shape, key, epochs))\n")
+            "            (struct, key, epochs))\n")
     assert run(seam, path=FLOW, only="REP008") == []
 
 

@@ -277,8 +277,8 @@ def test_stats_reports_every_context_cache():
     assert stats["dp.fit_cache"] == {"hits": 0, "misses": 0,
                                      "hit_rate": 0.0,
                                      "policy": "calendar-version"}
-    assert stats["flow.plan_cache"]["policy"] == "two-tier-lru"
-    assert stats["flow.plan_cache"]["skeletons"] == 0
+    assert stats["flow.plan_cache"]["policy"] == "lru"
+    assert stats["flow.plan_cache"]["entries"] == 0
     assert stats["flow.plan_cache"]["reuse_rate"] == 0.0
     assert stats["dp.duration_cache"]["policy"] == "struct-lru"
 

@@ -1,14 +1,20 @@
 """Unit tests for the metascheduler, job managers, and the VO façade."""
 
+import gc
+
 import numpy as np
 import pytest
 
+import repro.flow.metascheduler as metascheduler_module
 from repro.core.calendar import ReservationCalendar
+from repro.core.context import (DEFAULT_PLAN_VARIANTS, PlanCache,
+                                SchedulingContext)
 from repro.core.job import Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
-from repro.core.strategy import StrategyType
+from repro.core.strategy import Strategy, StrategyType
 from repro.flow.manager import JobManager
 from repro.flow.metascheduler import Metascheduler
+from repro.flow.sharding import plan_with_cache
 from repro.flow.vo import VirtualOrganization
 from repro.grid.environment import GridEnvironment
 from repro.workload.paper_example import fig2_job
@@ -33,6 +39,20 @@ def simple_job(job_id="j", deadline=30, owner="anonymous"):
     )
 
 
+def record_offers(monkeypatch):
+    """Record every (domain, strategy) offer the metascheduler reads
+    through the plan cache, in planning order."""
+    offers = []
+
+    def recording(manager, job, *args):
+        strategy = plan_with_cache(manager, job, *args)
+        offers.append((manager.domain, strategy))
+        return strategy
+
+    monkeypatch.setattr(metascheduler_module, "plan_with_cache", recording)
+    return offers
+
+
 # ----------------------------------------------------------------------
 # JobManager
 # ----------------------------------------------------------------------
@@ -45,9 +65,14 @@ def test_manager_plans_only_on_its_domain():
     assert strategy.admissible
     for schedule in strategy.admissible_schedules():
         assert schedule.distribution.node_ids() <= {1, 2}
-    assert "j" in manager.strategies
-    manager.drop("j")
-    assert "j" not in manager.strategies
+    # Managers retain nothing per job: reuse goes through the plan cache.
+    plans = PlanCache("flow.plan_cache", 4)
+    job = simple_job()
+    served = plan_with_cache(manager, job, StrategyType.S1, 0, calendars,
+                             plans)
+    assert plan_with_cache(manager, job, StrategyType.S1, 0, calendars,
+                           plans) is served
+    assert len(plans) == 1
 
 
 def test_manager_rejects_empty_domain():
@@ -205,13 +230,35 @@ def test_vo_background_and_load_metrics():
 # Epoch-keyed plan cache and conflict retries
 # ----------------------------------------------------------------------
 
+def test_live_strategies_are_bounded_by_the_plan_cache():
+    """Planning many distinct jobs keeps only what the plan cache
+    retains alive: managers hold no per-job strategies, so the live
+    ``Strategy`` count stays under the cache's bound instead of growing
+    with the number of jobs planned."""
+    capacity = 4
+    context = SchedulingContext(plan_capacity=capacity)
+    scheduler = Metascheduler(GridEnvironment(two_domain_pool()),
+                              context=context)
+    jobs = 60
+    for index in range(jobs):
+        job = Job(f"job{index}",
+                  [Task("A", volume=20 + index, best_time=2),
+                   Task("B", volume=10, best_time=1)],
+                  [], deadline=40)
+        scheduler.plan_job(job, StrategyType.S1, 0)
+    gc.collect()
+    live = sum(1 for obj in gc.get_objects() if isinstance(obj, Strategy))
+    assert live <= capacity * DEFAULT_PLAN_VARIANTS < jobs
+    assert live == len(context.plans)
+
+
 def test_conflict_retries_validation():
     grid = GridEnvironment(two_domain_pool())
     with pytest.raises(ValueError):
         Metascheduler(grid, conflict_retries=-1)
 
 
-def test_plan_cache_reuses_untouched_domains():
+def test_plan_cache_reuses_untouched_domains(monkeypatch):
     """Re-dispatching a job replans only domains whose epoch slice
     moved; the untouched domain's strategy is reused object-identically."""
     from repro.perf import PERF
@@ -219,6 +266,7 @@ def test_plan_cache_reuses_untouched_domains():
     grid = GridEnvironment(two_domain_pool())
     scheduler = Metascheduler(grid)
     job = simple_job()
+    offers = record_offers(monkeypatch)
 
     with PERF.collecting() as registry:
         scheduler.submit(job, StrategyType.S1)
@@ -231,7 +279,8 @@ def test_plan_cache_reuses_untouched_domains():
     committed_domain = first.domain
     untouched = [m for m in scheduler.managers
                  if m.domain != committed_domain][0]
-    cached_strategy = untouched.strategies[job.job_id]
+    first_offers = dict(offers)
+    offers.clear()
 
     with PERF.collecting() as registry:
         scheduler.submit(job, StrategyType.S1)
@@ -243,7 +292,10 @@ def test_plan_cache_reuses_untouched_domains():
     assert counters.get("flow.plan_cache_hits") == 1
     assert counters.get("flow.plan_repairs") == 1
     assert counters.get("flow.plan_cache_misses") is None
-    assert untouched.strategies[job.job_id] is cached_strategy
+    second_offers = dict(offers)
+    assert second_offers[untouched.domain] is first_offers[untouched.domain]
+    assert second_offers[committed_domain] is not first_offers[
+        committed_domain]
     assert second.job_id == job.job_id
 
 
@@ -301,25 +353,25 @@ def conflict_once_grid():
     """A grid whose ``can_commit`` refuses every variant during the
     first planning pass only — the commit-time conflict scenario.
 
-    Planning passes are detected by counting ``epoch_slice`` calls (one
-    per manager per pass), so the gate opens exactly when a retry
-    re-plans.
+    Planning passes are detected by counting ``snapshot`` calls (each
+    ``plan_job`` pass takes exactly one, whether its plans hit the
+    cache or not), so the gate opens exactly when a retry re-plans.
     """
     grid = GridEnvironment(two_domain_pool())
     true_can_commit = grid.can_commit
-    true_epoch_slice = grid.epoch_slice
+    true_snapshot = grid.snapshot
     calls = {"passes": 0}
 
-    def counting_epoch_slice(node_ids):
+    def counting_snapshot():
         calls["passes"] += 1
-        return true_epoch_slice(node_ids)
+        return true_snapshot()
 
     def gated_can_commit(distribution):
-        if calls["passes"] <= len(grid.pool.domains()):
+        if calls["passes"] <= 1:
             return False  # still the first pass: steal everything
         return true_can_commit(distribution)
 
-    grid.epoch_slice = counting_epoch_slice
+    grid.snapshot = counting_snapshot
     grid.can_commit = gated_can_commit
     return grid
 
@@ -337,7 +389,8 @@ def strategy_snapshot(strategy):
 
 @pytest.mark.parametrize("deadline", [25, 30, 45])
 @pytest.mark.parametrize("stype", [StrategyType.S1, StrategyType.S2])
-def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
+def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype,
+                                                       monkeypatch):
     """A warm repair (stale same-structure sibling seeding regeneration
     after epoch drift) must equal the cold replan it replaces on every
     domain, level by level and placement by placement."""
@@ -354,10 +407,13 @@ def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
 
     sibling = simple_job("sibling", deadline=deadline)
 
+    offers = record_offers(monkeypatch)
     warm_grid, warm_scheduler = drifted_grid()
+    offers.clear()
     with PERF.collecting() as registry:
         warm_scheduler.plan_job(sibling, stype, release=0)
         counters = dict(registry.counters)
+    warm_offers = list(offers)
     # The committed domain drifted (repair); the other is exact.
     assert counters.get("flow.plan_repairs") == 1
     assert counters.get("flow.plan_cache_hits") == 1
@@ -365,17 +421,18 @@ def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype):
 
     cold_grid, _ = drifted_grid()
     cold_scheduler = Metascheduler(cold_grid)  # fresh, empty plan cache
+    offers.clear()
     with PERF.collecting() as registry:
         cold_scheduler.plan_job(sibling, stype, release=0)
         counters = dict(registry.counters)
     assert counters.get("flow.plan_cache_misses") == 2
 
-    for warm_manager, cold_manager in zip(warm_scheduler.managers,
-                                          cold_scheduler.managers):
-        assert warm_manager.domain == cold_manager.domain
-        assert strategy_snapshot(
-            warm_manager.strategies["sibling"]) == strategy_snapshot(
-            cold_manager.strategies["sibling"])
+    assert len(warm_offers) == len(offers) == 2
+    for (warm_domain, warm), (cold_domain, cold) in zip(warm_offers,
+                                                        offers):
+        assert warm_domain == cold_domain
+        assert warm.job.job_id == cold.job.job_id == "sibling"
+        assert strategy_snapshot(warm) == strategy_snapshot(cold)
 
 
 def test_commit_conflict_rejects_without_retries():

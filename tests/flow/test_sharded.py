@@ -15,7 +15,7 @@ from repro.flow.sharded import (ShardedConfig, ShardedOutcome,
 from repro.perf import PERF
 from repro.sim import RandomStreams
 from repro.workload import WorkloadConfig, generate_pool
-from repro.workload.generator import template_workload_factory
+from repro.workload.generator import TemplateWorkload
 
 
 def make_pool(seed=42, nodes=24, domains=6):
@@ -29,7 +29,7 @@ def run_sharded(shards, jobs=300, **overrides):
                            shards=shards, **overrides)
     simulation = ShardedSimulation(
         make_pool(), seed=7, config=config,
-        job_factory=template_workload_factory((5.0, 3.0, 1.0)))
+        job_factory=TemplateWorkload((5.0, 3.0, 1.0)))
     simulation.run()
     return simulation
 
@@ -86,18 +86,22 @@ def test_commits_only_touch_the_jobs_own_shard():
         assert outcome.shard == outcome.index % len(simulation.planners)
 
 
-def test_coarse_seed_tier_is_bit_identical(monkeypatch):
-    """Disabling the coarse fallback must not change any schedule.
+def test_repair_seeds_are_bit_identical(monkeypatch):
+    """Turning every warm repair into a cold miss must not change any
+    schedule.
 
-    Coarse seeds only warm-start the DP; exact pruning discards hints
+    Repair seeds only warm-start the DP; exact pruning discards hints
     that no longer fit, so outcomes are independent of whether the
-    tier served anything.
+    cache seeded anything.
     """
-    with_coarse = run_sharded(shards=2, jobs=150)
-    monkeypatch.setattr(PlanCache, "coarse_seed",
-                        lambda self, stype, domain, node_ids: None)
-    without_coarse = run_sharded(shards=2, jobs=150)
-    assert without_coarse.digest() == with_coarse.digest()
+    with PERF.collecting() as registry:
+        with_repairs = run_sharded(shards=2, jobs=150)
+        repairs = registry.counters.get("flow.plan_repairs", 0)
+    assert repairs > 0
+    monkeypatch.setattr(PlanCache, "repair_seed",
+                        lambda self, structural_hash, stype, domain: None)
+    without_repairs = run_sharded(shards=2, jobs=150)
+    assert without_repairs.digest() == with_repairs.digest()
 
 
 def test_stats_merge_all_shard_contexts():

