@@ -10,8 +10,8 @@ Packages
     The paper's contribution: compound jobs, reservation calendars, the
     critical works method, and strategies as sets of supporting schedules.
 ``repro.grid``
-    Environment substrate: data policies, network, background load,
-    execution replay.
+    Environment substrate: data policies, background load, execution
+    replay, DES node agents.
 ``repro.local``
     Local batch-job management systems (FCFS, LWF, backfilling, gang,
     advance reservations).

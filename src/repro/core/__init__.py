@@ -4,17 +4,10 @@ the critical works method, and strategies as sets of supporting schedules.
 
 from .calendar import Reservation, ReservationCalendar, ReservationConflict
 from .collisions import Collision, CollisionStats
-from .costs import (
-    CostModel,
-    PricedTimeCost,
-    VolumeOverTimeCost,
-    cheapest_possible_cost,
-    distribution_cost,
-    relative_cost,
-)
+from .costs import CostModel, VolumeOverTimeCost, distribution_cost
 from .critical_works import CriticalWorksScheduler, SchedulingOutcome
 from .dp import ChainAllocation, allocate_chain
-from .granularity import coarsen, merge_linear_sections, serialize
+from .granularity import coarsen
 from .job import DataTransfer, Job, JobValidationError, Task
 from .resources import (
     FIG2_TYPE_PERFORMANCES,
@@ -59,10 +52,7 @@ __all__ = [
     "check_distribution",
     "CostModel",
     "VolumeOverTimeCost",
-    "PricedTimeCost",
     "distribution_cost",
-    "relative_cost",
-    "cheapest_possible_cost",
     "TransferModel",
     "NeutralTransferModel",
     "transfer_time_fn",
@@ -73,8 +63,6 @@ __all__ = [
     "Collision",
     "CollisionStats",
     "coarsen",
-    "merge_linear_sections",
-    "serialize",
     "StrategyType",
     "StrategySpec",
     "STRATEGY_SPECS",

@@ -35,9 +35,7 @@ die with it:
   the domain, each holding a handful of concrete strategies keyed on
   (release, domain epoch slice).  An exact variant hit is a free plan;
   a sibling with drifted epochs seeds an incremental *repair*
-  (warm-started regeneration, bit-identical to a cold replan);
-* one :meth:`stats` surface reports every cache's hit rate, size, and
-  eviction count.
+  (warm-started regeneration, bit-identical to a cold replan).
 
 The module also defines the :class:`Scheduler` protocol —
 ``schedule(job, pool, calendars, context=...) -> SchedulingOutcome`` —
@@ -57,9 +55,9 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import (TYPE_CHECKING, Any, Dict, Generic, Iterator, List,
-                    Mapping, Optional, Protocol, Sequence, Tuple, TypeVar,
-                    ValuesView, runtime_checkable)
+from typing import (TYPE_CHECKING, Any, Dict, Generic, List, Mapping,
+                    Optional, Protocol, Tuple, TypeVar, ValuesView,
+                    runtime_checkable)
 
 from ..perf import PERF
 from .calendar import GapTable, ReservationCalendar
@@ -72,7 +70,7 @@ if TYPE_CHECKING:  # imports that would be circular at runtime
     from .strategy import Strategy, StrategyType
 
 __all__ = ["LruCache", "PlanCache", "SchedulingContext", "Scheduler",
-           "CONTEXT_CACHE_NAMES", "merged_context_stats"]
+           "CONTEXT_CACHE_NAMES"]
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -86,9 +84,9 @@ DEFAULT_PLAN_VARIANTS = 8
 #: Distinct job structures whose per-job caches are retained.
 DEFAULT_STRUCT_CAPACITY = 4096
 
-#: Every cache (or counter pair) the context owns, as reported by
-#: :meth:`SchedulingContext.stats`.  The orphan audit in
-#: ``tests/perf/test_counter_audit.py`` asserts that each
+#: Every cache (or counter pair) the context owns; hit rates are read
+#: through :func:`~repro.perf.registry.derive_cache_stats`.  The orphan
+#: audit in ``tests/perf/test_counter_audit.py`` asserts that each
 #: ``*_hits``/``*_misses`` pair of the :mod:`repro.perf` registry maps
 #: onto exactly one of these names.
 CONTEXT_CACHE_NAMES: Tuple[str, ...] = (
@@ -470,79 +468,6 @@ class SchedulingContext:
         self._gap_tables[table.version] = table
         return table
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def stats(self, counters: Optional[Mapping[str, int]] = None
-              ) -> Dict[str, Dict[str, object]]:
-        """Per-cache statistics: hit rates, sizes, and evictions.
-
-        Structural numbers (entries, capacity, evictions) are tracked
-        by the context itself; hit/miss counts come from the perf
-        registry (pass a counter snapshot, or the live ``PERF.counters``
-        is read), so hit rates are only meaningful for runs collected
-        under :meth:`~repro.perf.registry.PerfRegistry.collecting`.
-        """
-        if counters is None:
-            counters = PERF.counters
-
-        def pair(name: str, **extra: object) -> Dict[str, object]:
-            hits = int(counters.get(f"{name}_hits", 0))
-            misses = int(counters.get(f"{name}_misses", 0))
-            total = hits + misses
-            entry: Dict[str, object] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / total, 4) if total else 0.0,
-            }
-            entry.update(extra)
-            return entry
-
-        out: Dict[str, Dict[str, object]] = {}
-        # Fit witnesses live on the calendar versions (freed with them),
-        # so the context reports only their hit counters.
-        out["dp.fit_cache"] = pair("dp.fit_cache", policy="calendar-version")
-        gaps = self._gap_tables
-        out[gaps.name] = pair(gaps.name, policy="lru", entries=len(gaps),
-                              capacity=gaps.capacity,
-                              evictions=gaps.evictions)
-        plan_stats = pair(
-            self.plans.name, policy="lru",
-            entries=len(self.plans),
-            capacity=self.plans.capacity,
-            evictions=self.plans.evictions,
-            repairs=int(counters.get("flow.plan_repairs", 0)),
-            rebinds=int(counters.get("flow.plan_rebinds", 0)))
-        # Reads split three ways: exact hits, warm repairs (a stale
-        # sibling seeded regeneration), cold misses.  The reuse rate —
-        # reads the cache served exactly or seeded — is what the flow
-        # tests floor on the template scenarios.
-        reads = (int(plan_stats["hits"]) + int(plan_stats["repairs"])
-                 + int(plan_stats["misses"]))
-        plan_stats["reuse_rate"] = (
-            round((int(plan_stats["hits"]) + int(plan_stats["repairs"]))
-                  / reads, 4)
-            if reads else 0.0)
-        out[self.plans.name] = plan_stats
-
-        sizes = {"transfer": 0, "duration": 0, "rank": 0, "paths": 0}
-        structs = 0
-        for per_struct in self._struct_caches.values():
-            structs += 1
-            for key, cache in per_struct.items():
-                kind = key[0]
-                if isinstance(kind, str) and kind in sizes:
-                    sizes[kind] += len(cache)
-        shared = {"dp.transfer_cache": "transfer",
-                  "dp.duration_cache": "duration",
-                  "critical_works.rank_cache": "rank",
-                  "job.paths_cache": "paths"}
-        for name, kind in shared.items():
-            out[name] = pair(name, policy="struct-lru",
-                             entries=sizes[kind], structs=structs)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SchedulingContext gaps={len(self._gap_tables)} "
                 f"plans={len(self.plans)} "
@@ -569,41 +494,3 @@ class Scheduler(Protocol):
         ``calendars`` (not mutated), optionally through a shared
         ``context``."""
         ...  # pragma: no cover - protocol
-
-
-#: ``stats()`` keys that describe a context's own storage — summed
-#: across shards by :func:`merged_context_stats`.  Everything else in a
-#: stats entry derives from the (process-global) perf counters and must
-#: be read once, not once per shard.
-_STRUCTURAL_STAT_KEYS = ("entries", "capacity", "evictions", "structs")
-
-
-def merged_context_stats(
-        contexts: Sequence[SchedulingContext],
-        counters: Optional[Mapping[str, int]] = None
-        ) -> Dict[str, Dict[str, object]]:
-    """One ``stats()`` view over the per-shard contexts of a sharded run.
-
-    Hit/miss/repair numbers come from the perf counter snapshot, which
-    already aggregates every shard (all shards plan in one process and
-    count into one registry), so they are taken from a single :meth:`~
-    SchedulingContext.stats` call — reading them per shard would
-    multiply-count.  Structural numbers (entries, capacities,
-    evictions, struct counts) are per-context storage and
-    are summed across shards.
-    """
-    if not contexts:
-        raise ValueError("merged_context_stats needs at least one context")
-    merged = contexts[0].stats(counters)
-    for context in contexts[1:]:
-        for name, entry in context.stats({}).items():
-            base = merged.setdefault(name, {})
-            for key in _STRUCTURAL_STAT_KEYS:
-                if key in entry:
-                    base[key] = int(base.get(key, 0)) + int(entry[key])
-    return merged
-
-
-def _iter_caches(context: SchedulingContext) -> Iterator[str]:
-    """Names of the caches a context reports (testing helper)."""
-    yield from context.stats()

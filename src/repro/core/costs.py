@@ -29,9 +29,7 @@ __all__ = [
     "CostModel",
     "VolumeOverTimeCost",
     "BalancedTimeCost",
-    "PricedTimeCost",
     "distribution_cost",
-    "relative_cost",
 ]
 
 
@@ -128,46 +126,6 @@ class BalancedTimeCost:
                 + self.cf_weight * np.ceil(task.volume / durations - EPSILON))
 
 
-class PricedTimeCost:
-    """Economic alternative: node price rate × reserved wall time.
-
-    Used by the VO economics module where resource owners publish per-slot
-    prices (possibly adjusted dynamically).
-    """
-
-    #: Rate × duration × surge — no dependence on the start slot.
-    time_invariant = True
-
-    def __init__(self, surge: float = 1.0):
-        if surge <= 0:
-            raise ValueError(f"surge must be positive, got {surge}")
-        #: Multiplier applied on top of node price rates (dynamic pricing).
-        self.surge = surge
-
-    @property
-    def price_key(self) -> tuple:
-        """Cross-call price-memo scope: tracks the live surge factor."""
-        return ("priced", self.surge)
-
-    def task_cost(self, task: Task, placement: Placement,
-                  node: ProcessorNode) -> float:
-        """Published node price × reserved wall time × surge."""
-        # __post_init__ guarantees a rate; the fallback narrows the
-        # Optional for type checkers.
-        rate = node.price_rate if node.price_rate is not None \
-            else node.performance
-        return rate * placement.duration * self.surge
-
-    def task_cost_array(self, task: Task, durations: np.ndarray,
-                        nodes: Sequence[ProcessorNode]) -> np.ndarray:
-        """Vectorized :meth:`task_cost` (rate × duration × surge)."""
-        rates = np.fromiter(
-            (node.price_rate if node.price_rate is not None
-             else node.performance for node in nodes),
-            dtype=np.float64, count=len(nodes))
-        return rates * durations * self.surge
-
-
 def distribution_cost(distribution: Distribution, job: Job,
                       pool: ResourcePool,
                       model: CostModel | None = None) -> float:
@@ -179,47 +137,4 @@ def distribution_cost(distribution: Distribution, job: Job,
         task = job.task(placement.task_id)
         node = pool.node(placement.node_id)
         total += model.task_cost(task, placement, node)
-    return total
-
-
-def relative_cost(distribution: Distribution, job: Job,
-                  pool: ResourcePool,
-                  model: CostModel | None = None) -> float:
-    """Cost normalized by the job's cheapest conceivable cost.
-
-    The floor books every task on the slowest node for its longest
-    feasible reservation (the whole deadline window), so the ratio is
-    ≥ 1 and comparable across jobs of different sizes — used for the
-    relative job completion cost bars of Fig. 4b.
-    """
-    if model is None:
-        model = VolumeOverTimeCost()
-    actual = distribution_cost(distribution, job, pool, model)
-    floor = cheapest_possible_cost(job, pool, model)
-    if floor <= 0:
-        return actual if actual > 0 else 1.0
-    return actual / floor
-
-
-def cheapest_possible_cost(job: Job, pool: ResourcePool,
-                           model: CostModel | None = None) -> float:
-    """Lower bound: every task on its cheapest node at its longest time.
-
-    With the CF model the cheapest configuration stretches each task's
-    reservation to the full deadline (larger ``T_i`` ⇒ lower cost); when
-    the job has no deadline we use the task's worst-case time on the
-    slowest node.
-    """
-    if model is None:
-        model = VolumeOverTimeCost()
-    total = 0.0
-    slowest = min(pool, key=lambda n: n.performance)
-    for task in job.tasks.values():
-        longest = task.duration_on(slowest.performance, level=1.0)
-        if job.deadline:
-            longest = max(longest, job.deadline)
-        placement = Placement(task.task_id, slowest.node_id, 0, longest)
-        best = min(
-            model.task_cost(task, placement, node) for node in pool)
-        total += best
     return total

@@ -15,33 +15,7 @@ from typing import Optional
 from .job import DataTransfer, Job, Task
 from .units import ceil_units
 
-__all__ = ["coarsen", "merge_linear_sections", "serialize"]
-
-
-def serialize(job: Job) -> Job:
-    """Collapse the whole job into a single sequential task.
-
-    The coarsest granularity: every task runs back-to-back on one node,
-    so no data ever leaves it — static data storage taken to its logical
-    end ("minimize data exchanges").  Volumes and base times add up; all
-    internal parallelism (and all transfers) disappear.
-    """
-    if len(job) == 1:
-        return job
-    order = job.topological_order()
-    merged = Task(
-        "+".join(order),
-        volume=sum(task.volume for task in job.tasks.values()),
-        best_time=sum(task.best_time for task in job.tasks.values()),
-        worst_time=sum(task.worst_time for task in job.tasks.values()),
-    )
-    return Job(job.job_id, [merged], (), deadline=job.deadline,
-               owner=job.owner)
-
-
-def merge_linear_sections(job: Job) -> Job:
-    """Merge every linear DAG section into a single task (full coarsening)."""
-    return coarsen(job, target_tasks=1)
+__all__ = ["coarsen"]
 
 
 def coarsen(job: Job, factor: float = 2.0,

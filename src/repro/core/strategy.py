@@ -30,7 +30,7 @@ from .collisions import Collision
 from .context import SchedulingContext
 from .costs import BalancedTimeCost, CostModel
 from .critical_works import CriticalWorksScheduler, SchedulingOutcome
-from .granularity import coarsen, serialize
+from .granularity import coarsen
 from .units import ceil_units
 from .job import Job
 from .resources import ResourcePool
@@ -102,7 +102,7 @@ class StrategySpec:
     policy: DataPolicyKind
     levels: tuple[float, ...]
     #: 1.0 keeps the job fine-grain; larger factors merge linear
-    #: sections; ``inf`` serializes the whole job into one task.
+    #: sections.
     granularity_factor: float = 1.0
     #: DP criterion: "cost" (criterion-first) or "time" (finish-first).
     objective: str = "cost"
@@ -395,8 +395,6 @@ class StrategyGenerator:
         spec = STRATEGY_SPECS[stype]
         if not spec.coarse:
             scheduled_job = job
-        elif spec.granularity_factor == float("inf"):
-            scheduled_job = serialize(job)
         else:
             # Aggressive coarsening down to the job's parallelism degree:
             # serial sections collapse but the parallel branches remain

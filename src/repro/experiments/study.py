@@ -39,8 +39,7 @@ from ..grid.environment import GridEnvironment
 from ..grid.execution import simulate_execution
 from ..metrics.indices import ROW_SCHEMA_VERSION, StrategyAggregate
 from ..metrics.stats import mean
-from ..platform import (ProgressEvent, Results, ResultStore, StudyGrid,
-                        effective_workers)
+from ..platform import ProgressEvent, Results, ResultStore, StudyGrid
 from ..sim.rng import RandomStreams
 from ..workload.generator import WorkloadConfig, generate_job, generate_pool
 from .common import select_nodes_for_job
@@ -90,11 +89,6 @@ class ApplicationStudyConfig:
     background_burst: int = 30
     stypes: tuple[StrategyType, ...] = FIG3_TYPES
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-
-
-def _effective_workers(workers: Optional[int], task_count: int) -> int:
-    """Back-compat alias of :func:`repro.platform.effective_workers`."""
-    return effective_workers(workers, task_count)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.job import Job
 from ..core.resources import ResourcePool
@@ -304,11 +304,3 @@ class ShardedSimulation:
                 f"{o.domain},{o.cost},{o.makespan},{o.reason},"
                 f"{o.reallocations},{o.replans}".encode())
         return hasher.hexdigest()
-
-    def stats(self, counters: Optional[Mapping[str, int]] = None
-              ) -> Dict[str, Dict[str, object]]:
-        """Merged per-cache statistics over every shard's context."""
-        from ..core.context import merged_context_stats
-
-        return merged_context_stats(
-            [planner.context for planner in self.planners], counters)

@@ -22,7 +22,7 @@ from ..core.strategy import StrategyType
 from ..grid.data import default_policy_models
 from ..grid.environment import GridEnvironment
 from ..grid.node import NodeAgent
-from ..sim import Environment, RandomStreams, TimeWeightedStat
+from ..sim import Environment, RandomStreams
 from .economics import VOEconomics
 from .metascheduler import FlowRecord, Metascheduler
 
@@ -128,8 +128,6 @@ class OnlineSimulation:
         self.context = self.metascheduler.context
         self.agents = {node.node_id: NodeAgent(self.sim, node)
                        for node in pool}
-        #: Jobs planned-and-committed but not yet finished, over time.
-        self.in_system = TimeWeightedStat()
         self.outcomes: list[JobOutcome] = []
         self._policy_models = default_policy_models()
         if job_factory is None:
@@ -193,7 +191,6 @@ class OnlineSimulation:
         self.outcomes.append(outcome)
         if record.committed:
             outcome.planned_makespan = record.chosen.outcome.makespan
-            self.in_system.increment(self.sim.now)
             self.sim.process(self._execute(record, outcome))
 
     # ------------------------------------------------------------------
@@ -218,7 +215,6 @@ class OnlineSimulation:
                 scheduled, distribution, task_id, done, model,
                 actual_level)))
         yield self.sim.all_of(handles)
-        self.in_system.increment(self.sim.now, -1)
         outcome.actual_makespan = int(max(
             event.value for event in done.values()))
         if scheduled.deadline:
@@ -270,7 +266,3 @@ class OnlineSimulation:
         """Busy fraction of every node over the elapsed simulation."""
         return {node_id: agent.utilization()
                 for node_id, agent in self.agents.items()}
-
-    def mean_concurrency(self) -> float:
-        """Time-weighted mean number of jobs in the system."""
-        return self.in_system.mean(until=self.sim.now)

@@ -1,9 +1,8 @@
 """Grid environment substrate.
 
 Models the distributed environment underneath the scheduling framework:
-data-policy transfer timings, the interconnect, per-node reservation
-state with background load, deterministic execution replay, and DES
-node agents.
+data-policy transfer timings, per-node reservation state with
+background load, deterministic execution replay, and DES node agents.
 """
 
 from .data import (
@@ -14,7 +13,6 @@ from .data import (
 )
 from .environment import BackgroundEvent, GridEnvironment
 from .execution import ExecutionTrace, TaskRun, simulate_execution
-from .network import Link, Network
 from .node import CompletedRun, NodeAgent
 
 __all__ = [
@@ -27,8 +25,6 @@ __all__ = [
     "ExecutionTrace",
     "TaskRun",
     "simulate_execution",
-    "Link",
-    "Network",
     "CompletedRun",
     "NodeAgent",
 ]

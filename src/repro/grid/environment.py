@@ -179,7 +179,11 @@ class GridEnvironment:
 
     def utilization_by_group(self, start: int, end: int
                              ) -> dict[NodeGroup, float]:
-        """Average node load level per performance group (Fig. 4a)."""
+        """Average node load level per performance group.
+
+        Counts every reservation, background load included; Fig. 4a's
+        load row reads :meth:`utilization_by_group_tagged` instead.
+        """
         sums: dict[NodeGroup, list[float]] = {group: [] for group in NodeGroup}
         for node in self.pool:
             sums[node.group].append(

@@ -37,11 +37,6 @@ class NodeAgent:
         #: Chronological log of completed executions.
         self.completed: list[CompletedRun] = []
 
-    @property
-    def busy(self) -> bool:
-        """True while a task is executing."""
-        return self._slot.count > 0
-
     def execute(self, task_id: str, not_before: float, duration: float):
         """Spawn a process running ``task_id``; returns its handle.
 

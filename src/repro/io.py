@@ -1,9 +1,8 @@
-"""JSON serialization of the library's core artifacts.
+"""Export of experiment tables and study rows.
 
-Jobs, pools, distributions, and experiment tables round-trip through
-plain dictionaries so workloads can be archived, diffed, and replayed,
-and experiment outputs consumed by external tooling
-(``repro run fig3a --json out.json``).
+Experiment tables become plain JSON dictionaries for external tooling
+(``repro run fig3a --json out.json``); study rows export as CSV or,
+when pyarrow is installed, Parquet (``repro study export``).
 """
 
 from __future__ import annotations
@@ -13,121 +12,17 @@ import importlib.util
 import json
 from typing import Any, Mapping, Optional, Sequence
 
-from .core.job import DataTransfer, Job, Task
-from .core.resources import ProcessorNode, ResourcePool
-from .core.schedule import Distribution, Placement
 from .experiments.common import ExperimentTable
 
 __all__ = [
-    "job_to_dict", "job_from_dict",
-    "pool_to_dict", "pool_from_dict",
-    "distribution_to_dict", "distribution_from_dict",
     "table_to_dict",
-    "dump_json", "load_json",
+    "dump_json",
     "dump_csv", "dump_parquet", "PARQUET_AVAILABLE",
 ]
 
 #: Parquet export needs pyarrow, which this environment may not ship;
 #: the capability is probed without importing (imports cost ~100ms).
 PARQUET_AVAILABLE = importlib.util.find_spec("pyarrow") is not None
-
-
-# ----------------------------------------------------------------------
-# Jobs
-# ----------------------------------------------------------------------
-
-def job_to_dict(job: Job) -> dict[str, Any]:
-    """A JSON-ready description of a compound job."""
-    return {
-        "job_id": job.job_id,
-        "owner": job.owner,
-        "deadline": job.deadline,
-        "tasks": [
-            {
-                "task_id": task.task_id,
-                "volume": task.volume,
-                "best_time": task.best_time,
-                "worst_time": task.worst_time,
-            }
-            for task in job.tasks.values()
-        ],
-        "transfers": [
-            {
-                "transfer_id": transfer.transfer_id,
-                "src": transfer.src,
-                "dst": transfer.dst,
-                "volume": transfer.volume,
-                "base_time": transfer.base_time,
-            }
-            for transfer in job.transfers
-        ],
-    }
-
-
-def job_from_dict(data: Mapping[str, Any]) -> Job:
-    """Rebuild a job; validation happens in the Job constructor."""
-    tasks = [Task(**entry) for entry in data["tasks"]]
-    transfers = [DataTransfer(**entry) for entry in data["transfers"]]
-    return Job(data["job_id"], tasks, transfers,
-               deadline=data.get("deadline", 0),
-               owner=data.get("owner", "anonymous"))
-
-
-# ----------------------------------------------------------------------
-# Pools
-# ----------------------------------------------------------------------
-
-def pool_to_dict(pool: ResourcePool) -> dict[str, Any]:
-    """A JSON-ready description of a resource pool."""
-    return {
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "performance": node.performance,
-                "type_index": node.type_index,
-                "domain": node.domain,
-                "price_rate": node.price_rate,
-            }
-            for node in pool
-        ]
-    }
-
-
-def pool_from_dict(data: Mapping[str, Any]) -> ResourcePool:
-    """Rebuild a pool from its description."""
-    return ResourcePool([ProcessorNode(**entry)
-                         for entry in data["nodes"]])
-
-
-# ----------------------------------------------------------------------
-# Distributions
-# ----------------------------------------------------------------------
-
-def distribution_to_dict(distribution: Distribution) -> dict[str, Any]:
-    """A JSON-ready description of one supporting schedule."""
-    return {
-        "job_id": distribution.job_id,
-        "scenario": distribution.scenario,
-        "placements": [
-            {
-                "task_id": placement.task_id,
-                "node_id": placement.node_id,
-                "start": placement.start,
-                "end": placement.end,
-            }
-            for placement in sorted(distribution,
-                                    key=lambda p: (p.start, p.task_id))
-        ],
-    }
-
-
-def distribution_from_dict(data: Mapping[str, Any]) -> Distribution:
-    """Rebuild a distribution from its description."""
-    return Distribution(
-        data["job_id"],
-        [Placement(**entry) for entry in data["placements"]],
-        scenario=data.get("scenario", ""),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +49,6 @@ def dump_json(payload: Mapping[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_json(path: str) -> Any:
-    """Read a JSON payload."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _flat_cell(value: Any) -> Any:

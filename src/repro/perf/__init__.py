@@ -8,11 +8,10 @@ end-to-end benchmark (``benchmarks/e2e``) reads these counters for its
 per-layer report.
 """
 
-from .registry import PERF, PerfRegistry, cache_stats, derive_cache_stats
+from .registry import PERF, PerfRegistry, derive_cache_stats
 
 __all__ = [
     "PERF",
     "PerfRegistry",
-    "cache_stats",
     "derive_cache_stats",
 ]

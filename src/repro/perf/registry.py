@@ -114,18 +114,19 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["PerfRegistry", "PERF", "cache_stats", "derive_cache_stats"]
+__all__ = ["PerfRegistry", "PERF", "derive_cache_stats"]
 
 
 def derive_cache_stats(counters: dict[str, int]
                        ) -> dict[str, dict[str, float]]:
-    """Derive per-cache hit statistics from ``*_hits``/``*_misses`` pairs.
+    """The one hit-rate reader: per-cache statistics from counter pairs.
 
     Every counter pair named ``<cache>_hits`` / ``<cache>_misses``
     (either side may be absent and defaults to 0) yields one entry
     ``{<cache>: {"hits": h, "misses": m, "hit_rate": h / (h + m)}}``.
-    Used by the end-to-end benchmark report so cache effectiveness is
-    visible next to the timings.  Each derived name must correspond to
+    Pass ``PERF.snapshot()["counters"]`` from a run collected under
+    :meth:`PerfRegistry.collecting`; the end-to-end benchmark report
+    reads cache effectiveness this way.  Each derived name must correspond to
     a :class:`~repro.core.context.SchedulingContext` cache
     (``CONTEXT_CACHE_NAMES``) — the counter audit test keeps the two in
     lockstep.
@@ -145,10 +146,6 @@ def derive_cache_stats(counters: dict[str, int]
             "hit_rate": round(hits / total, 4) if total else 0.0,
         }
     return stats
-
-
-#: Backwards-compatible alias (pre-PR 5 name).
-cache_stats = derive_cache_stats
 
 
 class PerfRegistry:

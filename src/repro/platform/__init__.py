@@ -28,7 +28,7 @@ Experiment modules declare grids (see ``repro.experiments``) and the
 ``clean``, ``--resume``, ``--workers``, ``--format``).
 """
 
-from .grid import GridCell, StudyGrid, run_grid
+from .grid import GridCell, StudyGrid
 from .pool import effective_workers, fanout_map
 from .progress import ProgressEvent, StudyReporter
 from .results import RESULTS_SCHEMA_VERSION, Results
@@ -37,7 +37,6 @@ from .store import STORE_SCHEMA_VERSION, ResultStore, content_key
 __all__ = [
     "StudyGrid",
     "GridCell",
-    "run_grid",
     "Results",
     "RESULTS_SCHEMA_VERSION",
     "ResultStore",

@@ -28,10 +28,10 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .pool import effective_workers
 from .progress import ProgressEvent
-from .results import RESULTS_SCHEMA_VERSION, Results
+from .results import Results
 from .store import STORE_SCHEMA_VERSION, ResultStore, content_key, normalize
 
-__all__ = ["GridCell", "StudyGrid", "run_grid"]
+__all__ = ["GridCell", "StudyGrid"]
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,3 @@ class StudyGrid:
                     seen.add(key)
                     names.append(key)
         return tuple(names)
-
-
-def run_grid(grid: StudyGrid, **kwargs: Any) -> Results:
-    """Convenience: ``grid.run(**kwargs)`` for functional call sites."""
-    return grid.run(**kwargs)

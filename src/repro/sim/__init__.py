@@ -1,9 +1,12 @@
 """Discrete-event simulation substrate.
 
-A compact process-interaction DES kernel (generators as processes), plus
-a FIFO capacity resource and deterministic named random streams.  The
-rest of the library builds its Grid, local-batch, and job-flow simulations
-on top of this package.
+A compact process-interaction DES kernel (generators as processes,
+timeouts, plain events, and an all-of condition), a FIFO capacity
+resource, and deterministic named random streams.  The kernel is sized
+to the online lane: :class:`~repro.flow.simulation.OnlineSimulation`
+and its :class:`~repro.grid.node.NodeAgent` processes replay committed
+schedules with actual durations on it.  The random streams seed every
+workload, study, and benchmark in the library.
 """
 
 from .engine import EmptySchedule, Environment, StopSimulation
@@ -12,18 +15,12 @@ from .events import (
     PENDING,
     URGENT,
     AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
     Event,
     Initialize,
-    Interrupt,
     Process,
-    StopProcess,
     Timeout,
 )
 from .resources import Release, Request, Resource
-from .monitoring import Tally, TimeWeightedStat
 from .rng import RandomStreams, stable_hash
 
 __all__ = [
@@ -33,13 +30,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
-    "StopProcess",
     "Initialize",
-    "Condition",
-    "ConditionValue",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "URGENT",
     "NORMAL",
@@ -48,6 +40,4 @@ __all__ = [
     "Release",
     "RandomStreams",
     "stable_hash",
-    "Tally",
-    "TimeWeightedStat",
 ]

@@ -25,21 +25,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Iterable, Optional, Union
 
-from .events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    StopProcess,
-    Timeout,
-)
+from .events import NORMAL, URGENT, AllOf, Event, Process, Timeout
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
-
-#: Positive infinity, the time :meth:`Environment.peek` reports on an empty queue.
-_INFINITY = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -70,17 +58,11 @@ class Environment:
         self._now = initial_time
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """The current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event factories
@@ -102,18 +84,6 @@ class Environment:
         """Return an event that triggers when all of ``events`` have."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Return an event that triggers when any of ``events`` has."""
-        return AnyOf(self, events)
-
-    def exit(self, value: Any = None) -> None:
-        """Terminate the *active* process, making it succeed with ``value``.
-
-        Equivalent to ``return value`` inside the process generator; offered
-        for symmetry with classic DES APIs.
-        """
-        raise StopProcess(value)
-
     # ------------------------------------------------------------------
     # Scheduling core
     # ------------------------------------------------------------------
@@ -124,12 +94,6 @@ class Environment:
         heapq.heappush(self._queue,
                        (self._now + delay, priority, self._eid, event))
         self._eid += 1
-
-    def peek(self) -> float:
-        """Return the time of the next scheduled event (inf if none)."""
-        if not self._queue:
-            return _INFINITY
-        return self._queue[0][0]
 
     def step(self) -> None:
         """Process the next event in the queue.

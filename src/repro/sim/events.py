@@ -25,16 +25,11 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "Interrupt",
-    "StopProcess",
     "Event",
     "Timeout",
     "Initialize",
     "Process",
-    "ConditionValue",
-    "Condition",
     "AllOf",
-    "AnyOf",
 ]
 
 
@@ -48,32 +43,11 @@ class _Pending:
 #: Unique sentinel stored in :attr:`Event._value` before the event triggers.
 PENDING = _Pending()
 
-#: Scheduling priority for internal bookkeeping events (interrupts).
+#: Scheduling priority for internal bookkeeping events (process starts,
+#: run horizons).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Raised *inside* a process when another process interrupts it.
-
-    The interrupt carries an arbitrary ``cause`` describing why the process
-    was interrupted (for example, a preempting reservation).
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-
-class StopProcess(Exception):
-    """Raised by :meth:`Environment.exit` to return early from a process."""
-
-    @property
-    def value(self) -> Any:
-        """The value the process exits with."""
-        return self.args[0]
 
 
 class Event:
@@ -142,12 +116,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -161,15 +129,9 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
-        self._delay = delay
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
-
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
 
 
 class Initialize(Event):
@@ -197,45 +159,10 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on (None when resuming).
-        self._target: Optional[Event] = None
         Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process as soon as possible."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, priority=URGENT)
-        # Unsubscribe from the event we were waiting for: the interrupt
-        # supersedes it.  The original event may still trigger later; the
-        # process can re-wait on it if it wants to.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -246,11 +173,6 @@ class Process(Event):
                     result = self._generator.throw(
                         type(event._value), event._value)
             except StopIteration as exc:
-                self._ok = True
-                self._value = exc.value
-                self.env.schedule(self)
-                break
-            except StopProcess as exc:
                 self._ok = True
                 self._value = exc.value
                 self.env.schedule(self)
@@ -274,57 +196,20 @@ class Process(Event):
             if result.callbacks is not None:
                 # The event has not been processed yet: subscribe and pause.
                 result.callbacks.append(self._resume)
-                self._target = result
                 break
             # The event was already processed: feed its outcome immediately.
             event = result
 
-        self.env._active_process = None
 
+class AllOf(Event):
+    """Triggers once *all* of the given events have been processed.
 
-class ConditionValue:
-    """Ordered mapping from events to their values for condition results."""
+    The value is an ordered ``{event: value}`` dict over the events.
+    If any event fails first, the condition fails with its exception.
+    """
 
-    def __init__(self, events: Iterable[Event]):
-        self.events = list(events)
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain ``{event: value}`` dictionary."""
-        return {event: event._value for event in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Waits for a boolean combination of events (used by AllOf / AnyOf)."""
-
-    def __init__(self, env: "Environment",
-                 evaluate: Callable[[list[Event], int], bool],
-                 events: Iterable[Event]):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -338,14 +223,8 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue([]))
-
-    def _collect_values(self) -> ConditionValue:
-        # Only *processed* events have delivered their value; a Timeout is
-        # "triggered" from construction but has not occurred until processed.
-        return ConditionValue(
-            [event for event in self._events if event.processed])
+        if not self._events:
+            self.succeed({})
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -356,29 +235,7 @@ class Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """True when every sub-event has triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        """True when at least one sub-event has triggered."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Triggers once *all* of the given events have triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers once *any* of the given events has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)
+        elif self._count == len(self._events):
+            # Every sub-event has now been processed (a Timeout is
+            # "triggered" from construction but occurs only when processed).
+            self.succeed({event: event._value for event in self._events})

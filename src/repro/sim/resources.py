@@ -67,16 +67,6 @@ class Resource:
         #: Requests waiting for a slot, in grant order.
         self.queue: list[Request] = []
 
-    @property
-    def capacity(self) -> int:
-        """Total number of slots."""
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
     def request(self) -> Request:
         """Claim a slot; the returned event triggers once granted."""
         return Request(self)

@@ -2,8 +2,8 @@
 
 Covers the LRU primitive (per-entry eviction, recency refresh, the
 plan-cache thrash regression), the identity-token registry, weak
-per-job cache lifetime, content-version keyed placement caches, the
-stats surface, and the Scheduler protocol.
+per-job cache lifetime, content-version keyed placement caches, and
+the Scheduler protocol.
 """
 
 import gc
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.calendar import ReservationCalendar
 from repro.core.context import (
-    CONTEXT_CACHE_NAMES,
     LruCache,
     Scheduler,
     SchedulingContext,
@@ -258,38 +257,6 @@ def test_mutation_invalidates_gap_table_by_version():
     fresh = context.gap_table(calendar)
     assert fresh is not stale
     assert fresh.version == calendar.version != stale.version
-
-
-# ----------------------------------------------------------------------
-# Stats surface
-# ----------------------------------------------------------------------
-
-def test_stats_reports_every_context_cache():
-    context = SchedulingContext()
-    stats = context.stats({})
-    for name in CONTEXT_CACHE_NAMES:
-        assert name in stats, name
-    gaps = stats["placement.gap_table"]
-    assert gaps["policy"] == "lru"
-    assert gaps["entries"] == 0
-    assert gaps["capacity"] >= 1
-    # Fit witnesses live on calendar versions: counters only, no storage.
-    assert stats["dp.fit_cache"] == {"hits": 0, "misses": 0,
-                                     "hit_rate": 0.0,
-                                     "policy": "calendar-version"}
-    assert stats["flow.plan_cache"]["policy"] == "lru"
-    assert stats["flow.plan_cache"]["entries"] == 0
-    assert stats["flow.plan_cache"]["reuse_rate"] == 0.0
-    assert stats["dp.duration_cache"]["policy"] == "struct-lru"
-
-
-def test_stats_derives_hit_rates_from_counters():
-    context = SchedulingContext()
-    stats = context.stats({"dp.fit_cache_hits": 3,
-                           "dp.fit_cache_misses": 1})
-    assert stats["dp.fit_cache"]["hits"] == 3
-    assert stats["dp.fit_cache"]["misses"] == 1
-    assert stats["dp.fit_cache"]["hit_rate"] == 0.75
 
 
 # ----------------------------------------------------------------------

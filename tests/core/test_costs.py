@@ -1,14 +1,6 @@
 """Unit tests for the CF cost function and cost models."""
 
-import pytest
-
-from repro.core.costs import (
-    PricedTimeCost,
-    VolumeOverTimeCost,
-    cheapest_possible_cost,
-    distribution_cost,
-    relative_cost,
-)
+from repro.core.costs import VolumeOverTimeCost, distribution_cost
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Distribution, Placement
@@ -59,55 +51,3 @@ def test_distribution_cost_sums_task_costs():
         Placement("P2", 1, 3, 6),   # 30/3 = 10
     ])
     assert distribution_cost(dist, job, pool()) == 20
-
-
-def test_priced_time_cost():
-    model = PricedTimeCost()
-    task = Task("t", volume=1, best_time=2)
-    node = ProcessorNode(node_id=1, performance=1.0, price_rate=2.0)
-    assert model.task_cost(task, Placement("t", 1, 0, 3), node) == 6.0
-
-
-def test_priced_time_cost_surge():
-    model = PricedTimeCost(surge=1.5)
-    task = Task("t", volume=1, best_time=2)
-    node = ProcessorNode(node_id=1, performance=1.0, price_rate=2.0)
-    assert model.task_cost(task, Placement("t", 1, 0, 2), node) == 6.0
-    with pytest.raises(ValueError):
-        PricedTimeCost(surge=0)
-
-
-def test_cheapest_possible_cost_is_a_lower_bound():
-    job = fig2_like_job()
-    resource_pool = pool()
-    floor = cheapest_possible_cost(job, resource_pool)
-    dist = Distribution("j", [
-        Placement("P1", 1, 0, 2),
-        Placement("P2", 1, 3, 6),
-    ])
-    assert distribution_cost(dist, job, resource_pool) >= floor
-
-
-def test_relative_cost_at_least_one():
-    job = fig2_like_job()
-    resource_pool = pool()
-    dist = Distribution("j", [
-        Placement("P1", 1, 0, 2),
-        Placement("P2", 1, 3, 6),
-    ])
-    assert relative_cost(dist, job, resource_pool) >= 1.0
-
-
-def test_relative_cost_orders_cheap_vs_expensive():
-    job = fig2_like_job()
-    resource_pool = pool()
-    expensive = Distribution("j", [
-        Placement("P1", 1, 0, 2),
-        Placement("P2", 1, 3, 6),
-    ])
-    cheap = Distribution("j", [
-        Placement("P1", 2, 0, 8),
-        Placement("P2", 2, 9, 20),
-    ])
-    assert (relative_cost(cheap, job, resource_pool)
-            < relative_cost(expensive, job, resource_pool))

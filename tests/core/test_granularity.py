@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.granularity import coarsen, merge_linear_sections
+from repro.core.granularity import coarsen
 from repro.core.job import DataTransfer, Job, Task
 from repro.workload.paper_example import fig2_job
 
@@ -20,7 +20,7 @@ def linear_job():
 
 
 def test_merge_linear_sections_collapses_chain():
-    coarse = merge_linear_sections(linear_job())
+    coarse = coarsen(linear_job(), target_tasks=1)
     assert len(coarse) == 1
     merged = next(iter(coarse.tasks.values()))
     assert merged.volume == 60
@@ -29,7 +29,7 @@ def test_merge_linear_sections_collapses_chain():
 
 
 def test_merged_ids_record_history():
-    coarse = merge_linear_sections(linear_job())
+    coarse = coarsen(linear_job(), target_tasks=1)
     assert list(coarse.tasks) == ["A+B+C"]
 
 
@@ -153,14 +153,3 @@ def test_aggressive_merge_collapses_triangle_to_one():
     merged = next(iter(coarse.tasks.values()))
     assert merged.volume == 3
     assert merged.best_time == 3
-
-
-def test_serialize_preserves_job_identity_fields():
-    from repro.core.granularity import serialize
-
-    job = Job("named", [Task("A", 1, 1), Task("B", 1, 1)],
-              [DataTransfer("D1", "A", "B")], deadline=9, owner="me")
-    serial = serialize(job)
-    assert serial.job_id == "named"
-    assert serial.deadline == 9
-    assert serial.owner == "me"

@@ -1,60 +1,9 @@
-"""Unit tests for JSON serialization."""
+"""Unit tests for JSON export of experiment tables."""
 
-import pytest
+import json
 
 from repro.experiments.common import ExperimentTable
-from repro.io import (
-    distribution_from_dict,
-    distribution_to_dict,
-    dump_json,
-    job_from_dict,
-    job_to_dict,
-    load_json,
-    pool_from_dict,
-    pool_to_dict,
-    table_to_dict,
-)
-from repro.core.schedule import Distribution, Placement
-from repro.workload.paper_example import fig2_job, fig2_pool
-
-
-def test_job_roundtrip():
-    job = fig2_job()
-    clone = job_from_dict(job_to_dict(job))
-    assert list(clone.tasks) == list(job.tasks)
-    assert clone.deadline == job.deadline
-    assert clone.owner == job.owner
-    for original, restored in zip(job.transfers, clone.transfers):
-        assert original == restored
-    assert clone.critical_chains() == job.critical_chains()
-
-
-def test_pool_roundtrip():
-    pool = fig2_pool()
-    clone = pool_from_dict(pool_to_dict(pool))
-    assert len(clone) == len(pool)
-    for original, restored in zip(pool, clone):
-        assert original == restored
-
-
-def test_distribution_roundtrip():
-    distribution = Distribution("j", [
-        Placement("A", 1, 0, 2),
-        Placement("B", 2, 3, 7),
-    ], scenario="level=0.5")
-    clone = distribution_from_dict(distribution_to_dict(distribution))
-    assert clone.job_id == distribution.job_id
-    assert clone.scenario == distribution.scenario
-    assert clone.placements == distribution.placements
-
-
-def test_invalid_payload_rejected_by_constructors():
-    payload = job_to_dict(fig2_job())
-    payload["transfers"].append({"transfer_id": "DX", "src": "P1",
-                                 "dst": "ghost", "volume": 1,
-                                 "base_time": 1})
-    with pytest.raises(Exception):
-        job_from_dict(payload)
+from repro.io import dump_json, table_to_dict
 
 
 def test_table_to_dict():
@@ -70,7 +19,7 @@ def test_table_to_dict():
 def test_dump_and_load_json(tmp_path):
     path = tmp_path / "out.json"
     dump_json({"k": [1, 2]}, str(path))
-    assert load_json(str(path)) == {"k": [1, 2]}
+    assert json.loads(path.read_text(encoding="utf-8")) == {"k": [1, 2]}
 
 
 def test_cli_json_output(tmp_path, capsys):
@@ -78,6 +27,6 @@ def test_cli_json_output(tmp_path, capsys):
 
     path = tmp_path / "fig2.json"
     assert main(["run", "fig2", "--json", str(path)]) == 0
-    payload = load_json(str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["experiment_id"] == "fig2"
     assert len(payload["rows"]) == 4

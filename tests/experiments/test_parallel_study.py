@@ -15,11 +15,11 @@ from repro.core.strategy import StrategyType
 from repro.experiments.study import (
     ApplicationStudyConfig,
     CoordinatedStudyConfig,
-    _effective_workers,
     application_level_study,
     coordinated_flow_study,
 )
 from repro.metrics.indices import StrategyAggregate
+from repro.platform import effective_workers
 
 APP_CONFIG = ApplicationStudyConfig(seed=7, n_jobs=6)
 FLOW_CONFIG = CoordinatedStudyConfig(seed=7, n_jobs=4)
@@ -62,13 +62,13 @@ def test_more_workers_than_jobs_is_clamped_not_rejected():
 
 
 def test_effective_workers_validation():
-    assert _effective_workers(1, 100) == 1
-    assert _effective_workers(16, 3) == 3  # clamped to the task count
-    assert _effective_workers(None, 100) >= 1  # one per CPU
+    assert effective_workers(1, 100) == 1
+    assert effective_workers(16, 3) == 3  # clamped to the task count
+    assert effective_workers(None, 100) >= 1  # one per CPU
     with pytest.raises(ValueError):
-        _effective_workers(0, 100)
+        effective_workers(0, 100)
     with pytest.raises(ValueError):
-        _effective_workers(-2, 100)
+        effective_workers(-2, 100)
 
 
 def test_aggregate_merge_rejects_family_mismatch():

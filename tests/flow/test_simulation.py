@@ -89,9 +89,9 @@ def test_metrics_are_consistent():
     total_runs = sum(len(agent.completed)
                      for agent in simulation.agents.values())
     assert total_runs > 0
-    # Everything admitted eventually left the system.
-    assert simulation.in_system.value == 0
-    assert simulation.mean_concurrency() > 0
+    # Everything admitted eventually ran to completion.
+    assert all(o.actual_makespan is not None
+               for o in outcomes if o.committed)
 
 
 def test_background_load_reduces_admission():
@@ -168,5 +168,7 @@ def test_template_flash_crowd_reuse_floor():
     with PERF.collecting() as registry:
         simulation.run()
         counters = dict(registry.counters)
-    stats = simulation.context.stats(counters)
-    assert stats["flow.plan_cache"]["reuse_rate"] >= 0.50
+    reused = (counters.get("flow.plan_cache_hits", 0)
+              + counters.get("flow.plan_repairs", 0))
+    reads = reused + counters.get("flow.plan_cache_misses", 0)
+    assert reused / reads >= 0.50

@@ -44,20 +44,3 @@ def test_utilization():
     sim.run(until=8)
     assert agent.utilization() == 0.5
     assert agent.utilization(horizon=4) == 1.0
-
-
-def test_busy_flag():
-    sim = Environment()
-    agent = NodeAgent(sim, ProcessorNode(node_id=1, performance=1.0))
-    agent.execute("T1", not_before=0, duration=4)
-    observed = []
-
-    def probe(sim, agent, observed):
-        yield sim.timeout(1)
-        observed.append(agent.busy)
-        yield sim.timeout(10)
-        observed.append(agent.busy)
-
-    sim.process(probe(sim, agent, observed))
-    sim.run()
-    assert observed == [True, False]

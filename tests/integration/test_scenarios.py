@@ -87,15 +87,16 @@ def test_schedule_renders_and_grants_end_to_end(pool):
 def test_cost_monotone_in_granularity(pool):
     """Coarsening a fork-join never raises the CF of the best schedule
     (the S3 economics in miniature)."""
-    from repro.core.granularity import serialize
+    from repro.core.granularity import coarsen
 
     job = fork_join_job(width=3, deadline=200)
     calendars = empty_calendars(pool)
     scheduler = CriticalWorksScheduler(pool)
     fine = scheduler.build_schedule(job, calendars)
-    serial = serialize(job)
-    coarse = scheduler.build_schedule(serial, calendars)
+    merged = coarsen(job, target_tasks=1, aggressive=True)
+    assert len(merged) == 1
+    coarse = scheduler.build_schedule(merged, calendars)
     assert fine.admissible and coarse.admissible
     fine_cost = distribution_cost(fine.distribution, job, pool)
-    coarse_cost = distribution_cost(coarse.distribution, serial, pool)
+    coarse_cost = distribution_cost(coarse.distribution, merged, pool)
     assert coarse_cost <= fine_cost

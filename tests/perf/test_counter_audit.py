@@ -17,7 +17,7 @@ import numpy as np
 
 import repro.perf.registry as registry_module
 from repro.core.calendar import ReservationCalendar
-from repro.core.context import CONTEXT_CACHE_NAMES, SchedulingContext
+from repro.core.context import CONTEXT_CACHE_NAMES
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.flow.metascheduler import Metascheduler
 from repro.grid.environment import GridEnvironment
@@ -50,11 +50,6 @@ def test_registry_docstring_documents_exactly_the_context_caches():
                   for match in _DOC_PATTERN.finditer(
                       registry_module.__doc__)}
     assert documented == set(CONTEXT_CACHE_NAMES)
-
-
-def test_stats_surface_covers_every_context_cache():
-    stats = SchedulingContext().stats({})
-    assert set(CONTEXT_CACHE_NAMES) <= set(stats)
 
 
 def test_live_run_derives_no_dead_pairs():

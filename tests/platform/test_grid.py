@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.platform import (ProgressEvent, ResultStore, StudyGrid,
-                            StudyReporter, run_grid)
+                            StudyReporter)
 
 RUNNER = "tests.platform.gridtoys:square_cell"
 
@@ -182,6 +182,6 @@ def test_run_async_directly_and_run_grid_wrapper():
         return await toy_grid().run_async()
 
     direct = asyncio.run(drive())
-    wrapped = run_grid(toy_grid())
+    wrapped = toy_grid().run()
     assert wrapped.rows == direct.rows
     assert wrapped.meta["grid_schema"] == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.granularity import coarsen, serialize
+from repro.core.granularity import coarsen
 from repro.workload.generator import WorkloadConfig, generate_job
 
 seeds = st.integers(0, 10**6)
@@ -101,18 +101,6 @@ def test_aggressive_coarsen_reaches_two_tasks(seed):
     job = random_job(seed)
     coarse = coarsen(job, target_tasks=2, aggressive=True)
     assert len(coarse) <= max(2, len(job.sources()) + len(job.sinks()))
-
-
-@given(seeds)
-def test_serialize_single_task_totals(seed):
-    job = random_job(seed)
-    serial = serialize(job)
-    assert len(serial) == 1
-    merged = next(iter(serial.tasks.values()))
-    assert merged.volume == job.total_volume()
-    assert merged.best_time == sum(t.best_time for t in job.tasks.values())
-    assert merged.worst_time == sum(t.worst_time
-                                    for t in job.tasks.values())
 
 
 @given(seeds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Interrupt
+from repro.sim import EmptySchedule, Environment
 
 
 def test_clock_starts_at_zero():
@@ -111,13 +111,6 @@ def test_step_empty_schedule_raises():
         env.step()
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(4)
-    assert env.peek() == 4
-
-
 def test_interleaving_is_deterministic():
     env = Environment()
     log = []
@@ -164,20 +157,6 @@ def test_unhandled_process_failure_crashes_run():
         env.run()
 
 
-def test_exit_terminates_process_with_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-        env.exit(42)
-        yield env.timeout(100)  # pragma: no cover - never reached
-
-    handle = env.process(proc(env))
-    env.run()
-    assert handle.value == 42
-    assert env.now == 1
-
-
 def test_nested_process_waiting():
     env = Environment()
 
@@ -221,46 +200,3 @@ def test_yielding_non_event_fails_process():
     env.process(proc(env))
     with pytest.raises(RuntimeError, match="non-event"):
         env.run()
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, env.now)
-
-    def attacker(env, victim_handle):
-        yield env.timeout(3)
-        victim_handle.interrupt(cause="because")
-
-    victim_handle = env.process(victim(env))
-    env.process(attacker(env, victim_handle))
-    env.run()
-    assert victim_handle.value == ("interrupted", "because", 3)
-
-
-def test_interrupt_dead_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    handle = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        handle.interrupt()
-
-
-def test_process_is_alive_transitions():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2)
-
-    handle = env.process(proc(env))
-    assert handle.is_alive
-    env.run()
-    assert not handle.is_alive

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, StopProcess
+from repro.sim import Environment
 
 
 def test_schedule_after_partial_run_continues():
@@ -64,11 +64,6 @@ def test_process_value_before_completion_raises():
         _ = handle.value
 
 
-def test_stop_process_exception_value():
-    exc = StopProcess("payload")
-    assert exc.value == "payload"
-
-
 def test_event_failure_without_handler_crashes_at_step():
     env = Environment()
     event = env.event()
@@ -109,32 +104,6 @@ def test_zero_delay_timeout_runs_in_order():
     env.run()
     assert log == ["first", "second"]
     assert env.now == 0
-
-
-def test_interrupt_then_rewait_original_event():
-    """An interrupted process may re-wait the event it was thrown off."""
-    env = Environment()
-
-    def victim(env, slow):
-        from repro.sim import Interrupt
-
-        try:
-            yield slow
-        except Interrupt:
-            pass
-        value = yield slow  # still pending; wait again
-        return (value, env.now)
-
-    slow = env.timeout(10, value="done")
-    handle = env.process(victim(env, slow))
-
-    def poker(env, handle):
-        yield env.timeout(3)
-        handle.interrupt()
-
-    env.process(poker(env, handle))
-    env.run()
-    assert handle.value == ("done", 10)
 
 
 def test_float_times_are_supported():

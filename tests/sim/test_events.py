@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, ConditionValue, Environment, Event
+from repro.sim import AllOf, Environment, Event
 
 
 def test_event_lifecycle_states():
@@ -82,25 +82,14 @@ def test_all_of_waits_for_every_event():
         t1 = env.timeout(1, value="a")
         t2 = env.timeout(3, value="b")
         results = yield env.all_of([t1, t2])
-        return (env.now, results[t1], results[t2])
+        return (env.now, results, t1, t2)
 
     handle = env.process(proc(env))
     env.run()
-    assert handle.value == (3, "a", "b")
-
-
-def test_any_of_returns_on_first_event():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(5, value="slow")
-        results = yield env.any_of([t1, t2])
-        return (env.now, t1 in results, t2 in results)
-
-    handle = env.process(proc(env))
-    env.run(until=2)
-    assert handle.value == (1, True, False)
+    now, results, t1, t2 = handle.value
+    assert now == 3
+    assert results == {t1: "a", t2: "b"}
+    assert list(results) == [t1, t2]
 
 
 def test_all_of_empty_list_triggers_immediately():
@@ -135,51 +124,8 @@ def test_condition_fails_if_subevent_fails():
     assert handle.value == "caught sub failed"
 
 
-def test_condition_value_mapping_interface():
-    env = Environment()
-    e1, e2 = env.event(), env.event()
-    e1.succeed(1)
-    e2.succeed(2)
-    value = ConditionValue([e1, e2])
-    assert value[e1] == 1
-    assert value[e2] == 2
-    assert len(value) == 2
-    assert list(value) == [e1, e2]
-    assert value.todict() == {e1: 1, e2: 2}
-    assert value == {e1: 1, e2: 2}
-    e3 = env.event()
-    with pytest.raises(KeyError):
-        _ = value[e3]
-
-
 def test_condition_rejects_foreign_environment():
     env1, env2 = Environment(), Environment()
     event_foreign = Event(env2)
     with pytest.raises(ValueError):
         AllOf(env1, [event_foreign])
-
-
-def test_any_of_with_already_triggered_event():
-    env = Environment()
-    event = env.event()
-    event.succeed("done")
-    env.run()
-
-    def proc(env, event):
-        results = yield AnyOf(env, [event, env.timeout(100)])
-        return event in results
-
-    handle = env.process(proc(env, event))
-    env.run(until=1)
-    assert handle.value is True
-
-
-def test_trigger_copies_outcome():
-    env = Environment()
-    source = env.event()
-    mirror = env.event()
-    source.succeed("mirrored")
-    mirror.trigger(source)
-    env.run()
-    assert mirror.value == "mirrored"
-    assert mirror.ok

@@ -42,7 +42,7 @@ def test_resource_count_and_queue():
 
     def observer(env, resource, out):
         yield env.timeout(1)
-        out.append((resource.count, len(resource.queue)))
+        out.append((len(resource.users), len(resource.queue)))
 
     out = []
     env.process(holder(env, resource))
@@ -66,7 +66,7 @@ def test_release_outside_context_manager():
     handle = env.process(proc(env, resource))
     env.run()
     assert handle.value == 1
-    assert resource.count == 0
+    assert not resource.users
 
 
 def test_request_cancel_from_queue():
@@ -80,15 +80,14 @@ def test_request_cancel_from_queue():
 
     def impatient(env, resource):
         req = resource.request()
-        result = yield env.any_of([req, env.timeout(1)])
-        if req not in result:
-            req.cancel()
-            return "gave up"
-        return "got it"  # pragma: no cover
+        yield env.timeout(1)
+        assert req in resource.queue and not req.triggered
+        req.cancel()
+        return "gave up"
 
     env.process(holder(env, resource))
     handle = env.process(impatient(env, resource))
     env.run()
     assert handle.value == "gave up"
     assert not resource.queue
-
+    assert not resource.users
