@@ -177,8 +177,10 @@ class PlanCache:
 
     * :meth:`lookup` — an **exact** variant: same release, unchanged
       epoch slice over the domain's nodes.  Generation inputs are then
-      byte-identical and the strategy is served outright (rebound to
-      the requesting job's id).
+      byte-identical and the stored strategy itself is served, still
+      bound to the job it was generated for; entries are never
+      rewritten for the job that reads them.  The flow layer rebinds
+      only the offer it books.
     * :meth:`repair_seed` — a **stale sibling**: the freshest variant
       of the entry, whatever its release/epochs.  Its per-level node
       assignments seed a warm-started regeneration

@@ -256,14 +256,17 @@ class Strategy:
     def rebind(self, job: Job) -> "Strategy":
         """This strategy re-addressed to a structurally identical job.
 
-        Serving a cached plan across template-derived siblings must
-        rewrite the job identity everywhere it is recorded — the
-        distributions, outcomes, and collision records — while the
-        frozen placements themselves are shared.  Only sound for jobs
-        with equal :attr:`~repro.core.job.Job.structural_hash`:
-        generation is deterministic in the labelled structure, so the
-        rebound strategy is exactly what generating for ``job`` against
-        the same calendars would have produced.
+        A copy that rewrites the job identity everywhere it is recorded
+        — the distributions, outcomes, and collision records — while the
+        frozen placements themselves are shared; ``self`` when ``job``
+        already is this strategy's job.  The plan cache serves exact
+        hits uncopied, so the flow layer calls this only for the offer
+        it dispatches or books, whose job id reaches reservation tags.
+        Only sound for jobs with equal
+        :attr:`~repro.core.job.Job.structural_hash`: generation is
+        deterministic in the labelled structure, so the rebound
+        strategy is exactly what generating for ``job`` against the
+        same calendars would have produced.
         """
         if job is self.job:
             return self

@@ -178,7 +178,11 @@ class Metascheduler:
         through :func:`~repro.flow.sharding.plan_with_cache`, the
         exact-hit → warm-repair → cold ladder shared with the shard
         planners, so re-planning the same job against unchanged domain
-        calendars is free.
+        calendars is free.  Exact hits are compared as cached; only the
+        winning strategy is rebound to ``job``
+        (:meth:`~repro.core.strategy.Strategy.rebind`), so the
+        dispatch's strategy, distributions and reservation tags all
+        carry this job's id.
         """
         calendars = self.grid.snapshot()
         best: Optional[tuple[JobManager, Strategy]] = None
@@ -194,7 +198,8 @@ class Metascheduler:
                 best_cost = chosen.outcome.cost
         if best is None:
             return PlannedDispatch(job, stype, release, None, None)
-        return PlannedDispatch(job, stype, release, best[0], best[1])
+        return PlannedDispatch(job, stype, release, best[0],
+                               best[1].rebind(job))
 
     def commit_planned(self, planned: PlannedDispatch) -> FlowRecord:
         """Phase two of dispatch: commit a previously planned job.

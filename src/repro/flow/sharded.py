@@ -59,8 +59,9 @@ class ShardedConfig:
     #: Background horizon; None derives one covering the arrival span.
     horizon: Optional[int] = None
     #: Strategy families assigned round-robin to arrivals.  S1/S2 by
-    #: default: their cache hits rebind in O(variants), while S3's
-    #: rebind rebuilds the aggregated job — poison at this scale.
+    #: default.  Cache hits are served uncopied and only a booked offer
+    #: is rebound, so S3's costlier rebind (it rebuilds the aggregated
+    #: job) is paid once per commit, not once per hit.
     stypes: Tuple[StrategyType, ...] = (StrategyType.S1, StrategyType.S2)
     #: Replans allowed when every variant of a same-window neighbour's
     #: plan was stolen at commit time (intra-shard arbitration).
@@ -242,7 +243,13 @@ class ShardedSimulation:
                       stype: StrategyType, shard_id: int,
                       domain: Optional[str], strategy: Strategy,
                       release: int) -> None:
-        """Metascheduler commit discipline against the live calendars."""
+        """Metascheduler commit discipline against the live calendars.
+
+        ``strategy`` is the offer as the plan cache served it, possibly
+        bound to a template sibling; it is rebound to ``job`` only once
+        a variant is booked, so rejected and conflicted arrivals make
+        no copy.
+        """
         while True:
             variants = sorted(
                 strategy.admissible_schedules(),
@@ -254,6 +261,13 @@ class ShardedSimulation:
                     break
                 outcome.reallocations += 1
             if chosen is not None:
+                if strategy.job is not job:
+                    # A plan-cache hit generated for a template sibling:
+                    # book the variant under this job's id.
+                    position = next(i for i, s in
+                                    enumerate(strategy.schedules)
+                                    if s is chosen)
+                    chosen = strategy.rebind(job).schedules[position]
                 self.grid.commit_distribution(chosen.distribution)
                 outcome.committed = True
                 outcome.domain = domain

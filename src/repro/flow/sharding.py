@@ -76,9 +76,11 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the
       same structural hash, the same release, and an unchanged epoch
       slice over the domain's nodes exists; generation inputs are
-      byte-identical, so the strategy is served outright (rebound to
-      this job's id when it was generated for a template sibling —
-      ``flow.plan_rebinds``);
+      byte-identical, so the cached strategy itself is returned, still
+      bound to the job it was generated for.  Serving it to another
+      job (a template sibling) counts ``flow.plan_rebinds``; the copy
+      under the caller's job id is made by whoever books an offer
+      (:meth:`~repro.core.strategy.Strategy.rebind`), never here;
     * **warm repair** (``flow.plan_repairs``) — a same-structure
       variant exists but its release/epochs drifted; its per-level
       assignments seed a warm-started regeneration that re-searches
@@ -90,7 +92,9 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     share content versions with their masters — the same values
     ``grid.epoch_slice`` reports — so no grid handle is needed.
     Generated strategies are stored under their semantic key; nothing
-    is retained per job id.
+    is retained per job id, and a hit stores nothing.  Compare offers
+    by their schedules' costs and placements only: a served strategy's
+    ``job`` may be a sibling.
     """
     structural_hash = job.structural_hash
     epochs = tuple(calendars[node_id].version
@@ -100,15 +104,11 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     if cached is not None:
         if PERF.enabled:
             PERF.incr("flow.plan_cache_hits")
-        strategy = cached.rebind(job)
-        if strategy is not cached:
-            # Served across template siblings: same structure, same
-            # epochs — only the recorded job identity differs.
-            if PERF.enabled:
+            if cached.job is not job:
+                # Served across template siblings: same structure, same
+                # epochs — only the recorded job identity differs.
                 PERF.incr("flow.plan_rebinds")
-            plans.store(structural_hash, stype, manager.domain, release,
-                        epochs, strategy)
-        return strategy
+        return cached
     seed = plans.repair_seed(structural_hash, stype, manager.domain)
     seed_hints = None
     if seed is not None:
@@ -163,7 +163,10 @@ class ShardPlanner:
         """The shard's best offer for a job, or None when inadmissible.
 
         ``calendars`` must cover (at least) the shard's nodes; managers
-        slice their own domains out.  Nothing is booked.
+        slice their own domains out.  Nothing is booked, and the offer's
+        strategy is served from the plan cache as stored: it may still
+        be bound to a template sibling of ``job``, so rebind it before
+        booking.
         """
         best: Optional[Tuple[JobManager, "Strategy"]] = None
         best_cost = float("inf")

@@ -9,9 +9,14 @@ Planning is in-process only: ``workers`` accepts nothing but 1.
 
 import pytest
 
+from repro.analysis.verify import verify_coallocation, verify_distribution
+from repro.core.calendar import ReservationCalendar
 from repro.core.context import PlanCache
+from repro.core.schedule import Distribution, Placement
+from repro.core.strategy import STRATEGY_SPECS, Strategy
 from repro.flow.sharded import (ShardedConfig, ShardedOutcome,
                                 ShardedSimulation)
+from repro.grid.data import default_policy_models
 from repro.perf import PERF
 from repro.sim import RandomStreams
 from repro.workload import WorkloadConfig, generate_pool
@@ -24,12 +29,15 @@ def make_pool(seed=42, nodes=24, domains=6):
                          domains=domains)
 
 
+TEMPLATE_WEIGHTS = (5.0, 3.0, 1.0)
+
+
 def run_sharded(shards, jobs=300, **overrides):
     config = ShardedConfig(jobs=jobs, mean_interarrival=0.05, window=4,
                            shards=shards, **overrides)
     simulation = ShardedSimulation(
         make_pool(), seed=7, config=config,
-        job_factory=TemplateWorkload((5.0, 3.0, 1.0)))
+        job_factory=TemplateWorkload(TEMPLATE_WEIGHTS))
     simulation.run()
     return simulation
 
@@ -131,3 +139,83 @@ def test_template_stream_reuse_floor():
               + counters.get("flow.plan_repairs", 0))
     reads = reused + counters.get("flow.plan_cache_misses", 0)
     assert reused / reads >= 0.80
+
+
+def test_plan_cache_hits_are_copied_only_when_booked(monkeypatch):
+    """Exact hits are served uncopied: the lane rebinds a sibling's plan
+    only for the variant it books, so a run makes at most one
+    ``Strategy.rebind`` copy per committed arrival, however many hits
+    its rejected arrivals were served."""
+    rebind = Strategy.rebind
+    copies = []
+
+    def counting_rebind(self, job):
+        rebound = rebind(self, job)
+        if rebound is not self:
+            copies.append(job.job_id)
+        return rebound
+
+    monkeypatch.setattr(Strategy, "rebind", counting_rebind)
+    with PERF.collecting() as registry:
+        simulation = run_sharded(shards=2, jobs=300)
+        rebinds = registry.counters.get("flow.plan_rebinds", 0)
+    committed = {o.job_id for o in simulation.outcomes if o.committed}
+    assert committed
+    assert rebinds > 10 * len(committed)
+    assert len(copies) <= len(committed)
+    assert set(copies) <= committed
+
+
+def booked_distributions(simulation):
+    """Each job's booked schedule, rebuilt from the calendar tags
+    (``"<job id>:<task id>"``): the lane keeps no distributions."""
+    placements = {}
+    for node_id, calendar in simulation.grid.calendars.items():
+        for reservation in calendar.reservations:
+            if reservation.tag == "background":
+                continue
+            job_id, task_id = reservation.tag.split(":", 1)
+            placements.setdefault(job_id, []).append(
+                Placement(task_id, node_id, reservation.start,
+                          reservation.end))
+    return {job_id: Distribution(job_id, items)
+            for job_id, items in placements.items()}
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_booked_schedules_verify(shards):
+    """Every committed arrival — most of them booked from a plan rebound
+    off a template sibling — holds a schedule that verifies at its
+    window's release under its family's data policy, and the booked set
+    shares the pool with the background load without overcommit."""
+    simulation = run_sharded(shards=shards, jobs=300)
+    booked = booked_distributions(simulation)
+    committed = [o for o in simulation.outcomes if o.committed]
+    assert committed
+    assert set(booked) == {o.job_id for o in committed}
+
+    window = simulation.config.window
+    release = {index: (window_index + 1) * window
+               for window_index, indices in simulation._arrival_windows()
+               for index in indices}
+    factory = TemplateWorkload(TEMPLATE_WEIGHTS)
+    streams = RandomStreams(simulation.seed)
+    models = default_policy_models()
+    for outcome in committed:
+        distribution = booked[outcome.job_id]
+        assert distribution.makespan == outcome.makespan
+        job = factory(streams.fork("jobs", outcome.index), outcome.index)
+        assert job.job_id == outcome.job_id
+        report = verify_distribution(
+            job, distribution, simulation.pool,
+            transfer_model=models[STRATEGY_SPECS[outcome.stype].policy],
+            release=release[outcome.index])
+        assert report.ok, report.summary()
+
+    background = {
+        node_id: ReservationCalendar(
+            r for r in calendar.reservations if r.tag == "background")
+        for node_id, calendar in simulation.grid.calendars.items()}
+    report = verify_coallocation(list(booked.values()), simulation.pool,
+                                 background)
+    assert report.ok, report.summary()
