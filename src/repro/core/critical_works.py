@@ -186,10 +186,10 @@ class CriticalWorksScheduler:
         booking the resulting distribution is the caller's decision.
 
         ``warm_hint`` optionally maps task ids to node ids from an
-        adjacent estimation level's distribution; the DP uses it as a
-        branch-and-bound incumbent.  The outcome is bit-identical with
-        or without a hint — only ``evaluations`` (and the wall time)
-        drops.  See :func:`repro.core.dp.allocate_chain`.
+        adjacent estimation level's distribution; the DP's incumbent
+        descent tries those nodes first.  The outcome is bit-identical
+        with or without a hint — only ``evaluations`` (and the wall
+        time) changes.  See :func:`repro.core.dp.allocate_chain`.
 
         ``context`` overrides the scheduler's own
         :class:`~repro.core.context.SchedulingContext` for this call.

@@ -32,18 +32,29 @@ Incremental generation (two orthogonal mechanisms, both exact):
   a mutation starts the node on a fresh store, so invalidation is
   O(nodes touched) and a dead version's witnesses die with it.
 
-* ``hint`` — a warm start: the adjacent estimation level's allocation,
-  re-evaluated on the current calendars to obtain a feasible
-  *incumbent*, which then drives branch-and-bound pruning of dominated
-  partial chains.  Pruning is strict (``lower bound > incumbent``) with
+Branch-and-bound (every multi-task chain, hinted or not):
+
+* forward reachability — one exact pass before the search computes,
+  for every task and candidate row, the earliest end over all states
+  the DP can reach (the same monotonicity: a row fits some reachable
+  state iff it fits the smallest data-ready time any state offers it).
+  Rows no state can fit are dropped, and a task with no reachable row
+  proves the chain infeasible before any pricing or search.
+
+* incumbent — a greedy descent (cheapest-first, then earliest-finish)
+  over the reachable rows yields a feasible *incumbent*, which drives
+  pruning of dominated partial chains.  ``hint`` — a warm start, e.g.
+  the adjacent estimation level's allocation — is tried first at every
+  step of that descent, so a hint that still fits seeds the incumbent
+  it describes.  Pruning is strict (``lower bound > incumbent``) with
   admissible bounds, and memo entries track whether they are exact or
   merely bound proofs, so the returned placements, cost, finish, and
-  feasibility are **bit-identical** to the cold path — only the number
-  of state expansions (``evaluations`` / the ``dp.expansions`` counter)
-  shrinks.  For the ``"cost"`` objective pruning additionally requires
-  a start-time-invariant cost model (``time_invariant`` attribute, true
-  for every built-in model); otherwise the hint is ignored and the run
-  is simply cold.
+  feasibility are **bit-identical** to an unpruned search — only the
+  number of state expansions (``evaluations`` / the ``dp.expansions``
+  counter) shrinks.  For the ``"cost"`` objective pruning additionally
+  requires a start-time-invariant cost model (``time_invariant``
+  attribute, true for every built-in model); otherwise no incumbent is
+  built and the search is unpruned.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ __all__ = ["ChainAllocation", "allocate_chain"]
 
 _INFINITY = float("inf")
 
-#: Fewest candidate rows for which warm-start pricing fills a task's
+#: Fewest candidate rows for which incumbent pricing fills a task's
 #: row prices in one vectorized sweep; below it the array round-trip
 #: costs more than pricing the few rows on demand.
 _VECTOR_PRICE_MIN_ROWS = 12
@@ -82,8 +93,8 @@ class ChainAllocation:
     finish: int
     #: Number of DP state expansions actually performed — the strategy
     #: generation expense metric (S1 vs MS1 comparison in Section 4).
-    #: Warm-started runs perform (and report) fewer expansions while
-    #: returning bit-identical placements.
+    #: Branch-and-bound pruning (tighter with a warm ``hint``) removes
+    #: expansions while leaving the placements bit-identical.
     evaluations: int
 
 
@@ -136,9 +147,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         "fastest, most expensive, most accurate" S2 family).
     hint:
         Optional warm start: a ``task id -> node id`` mapping (e.g. the
-        adjacent estimation level's allocation) used to seed an
-        incumbent for branch-and-bound pruning.  Results are identical
-        to ``hint=None``; only the expansion count drops.
+        adjacent estimation level's allocation) whose rows the
+        incumbent's greedy descent tries first at every step.  Every
+        multi-task chain is pruned against an incumbent either way; a
+        good hint only tightens it.  Results are identical to
+        ``hint=None``; only the expansion count may differ.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which owns the per-job caches this function consults: the
@@ -386,9 +399,74 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # away never pay the bucket lookup.
             rows.append([node, node.node_id, calendar, duration, floor,
                          ceiling, None, None])
-        # An empty row set is kept (not short-circuited) so the DP
-        # explores — and counts — exactly the states it always did.
         candidates[task_id] = rows
+
+    chain_length = len(chain)
+    # Per-position constants, hoisted so each state expansion touches
+    # lists instead of re-querying the job graph.
+    incoming_by_index: list[Optional[DataTransfer]] = [None] * chain_length
+    for position in range(1, chain_length):
+        incoming_by_index[position] = job.transfer_between(
+            chain[position - 1], chain[position])
+    tasks_by_index = [job.task(task_id) for task_id in chain]
+    # Uniform-lag models collapse each edge's lag to one constant (zero
+    # co-located): the scalar inner loop then compares node ids instead
+    # of consulting the transfer cache at all.
+    uniform_by_index: list[Optional[int]] = [None] * chain_length
+    if uniform_lag_fn is not None:
+        for position in range(1, chain_length):
+            uniform_by_index[position] = uniform_lag_fn(
+                incoming_by_index[position])
+
+    # Forward reachability.  The DP's states at chain[i] carry the end
+    # of a feasible placement of chain[i-1] as their data-ready time,
+    # and ``earliest_fit`` is monotone in ``earliest``: a row fits some
+    # reachable state iff it fits the smallest start bound any state
+    # offers it, and no state ends it earlier than that fit.  One pass
+    # therefore computes each row's earliest end over all reachable
+    # states, exactly, with the lags the DP itself applies (lags are
+    # non-negative, so a uniform-lag row's smallest bound is its own
+    # node's earliest end or the overall earliest end plus the lag).
+    # Rows no state can fit are dropped — the DP would skip them in
+    # every state, and the lower bounds below tighten without them —
+    # and a task without a reachable row proves the chain infeasible
+    # before any pricing or search.  A single-task chain's one DP
+    # state is this pass, so it goes straight to the search.
+    if chain_length > 1:
+        previous_rows: list[list] = []
+        earliest_ends: dict[int, int] = {}
+        for task_id, incoming, uniform in zip(chain, incoming_by_index,
+                                              uniform_by_index):
+            earliest_ready = min(earliest_ends.values(), default=release)
+            reachable = []
+            ends: dict[int, int] = {}
+            for row in candidates[task_id]:
+                if incoming is None:  # the chain's first task
+                    start_bound = release
+                elif uniform is not None:
+                    start_bound = earliest_ready + uniform
+                    colocated = earliest_ends.get(row[1])
+                    if colocated is not None and colocated < start_bound:
+                        start_bound = colocated
+                else:
+                    start_bound = min(
+                        earliest_ends[prev_row[1]]
+                        + transfer_time(incoming, prev_row[0], row[0])
+                        for prev_row in previous_rows)
+                if row[4] > start_bound:
+                    start_bound = row[4]
+                if start_bound + row[3] > row[5]:
+                    continue
+                start = find_fit(row, start_bound)
+                if start is None:
+                    continue
+                reachable.append(row)
+                ends[row[1]] = start + row[3]
+            if not reachable:
+                return None
+            candidates[task_id] = reachable
+            previous_rows = reachable
+            earliest_ends = ends
 
     # Models declaring a ``price_key`` are pure functions of
     # (volume, duration, node), so their row prices memo across calls
@@ -419,60 +497,15 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         row[6] = row_cost
         return row_cost
 
-    def hint_incumbent() -> Optional[float]:
-        """Primary value of the hinted assignment on these calendars.
-
-        Returns None when the hint does not re-fit (different level,
-        drifted node, disallowed node) — the run is then simply cold.
-        """
-        assert hint is not None
-        prev_node: Optional[ProcessorNode] = None
-        ready = release
-        total_cost = 0.0
-        finish = release
-        for index, task_id in enumerate(chain):
-            hinted = hint.get(task_id)
-            if hinted is None:
-                return None
-            row = next((r for r in candidates[task_id]
-                        if r[1] == hinted), None)
-            if row is None:
-                return None
-            node = row[0]
-            duration, floor, ceiling, row_cost = row[3:7]
-            incoming = (job.transfer_between(chain[index - 1], task_id)
-                        if index > 0 else None)
-            if incoming is None or prev_node is None:
-                start_bound = ready
-            else:
-                start_bound = ready + transfer_time(incoming, prev_node, node)
-            if floor > start_bound:
-                start_bound = floor
-            if start_bound + duration > ceiling:
-                return None
-            start = find_fit(row, start_bound)
-            if start is None:
-                return None
-            end = start + duration
-            if cost_mode:
-                # Only reached when the cost model is start-invariant
-                # (pruning is gated on it), so the row price applies.
-                total_cost += (row_cost if row_cost is not None
-                               else price_row(task_id, row))
-            ready = end
-            finish = end
-            prev_node = node
-        return total_cost if cost_mode else float(finish)
-
     def greedy_incumbent(by_finish: bool = False) -> Optional[float]:
         """Primary value of a hint-preferring greedy descent.
 
-        A fallback incumbent for hinted runs whose hint no longer
-        re-fits *as a whole*: each step first re-tries the task's own
-        hinted row — tasks whose nodes kept their slots keep their
-        assignment, so only the drifted remainder is re-chosen — and
-        otherwise takes the cheapest (cost mode) or earliest-finishing
-        (time mode) feasible row.  This is what makes plan repair
+        The incumbent of every pruned search.  Each step first re-tries
+        the task's own hinted row — a hint that still fits as a whole
+        is followed end to end, and when only some nodes kept their
+        slots, only the drifted remainder is re-chosen — and otherwise
+        takes the cheapest (cost mode) or earliest-finishing (time
+        mode) feasible row.  This is what makes plan repair
         incremental: a stale plan with one stolen slot re-derives an
         incumbent that differs from the hint in exactly the patched
         tasks.  ``by_finish`` forces the earliest-finish choice even in
@@ -480,10 +513,10 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         cheapest-first painted itself past the ceiling; the returned
         value is still that chain's exact cost, so it remains a sound
         upper bound.  No backtracking — a dead end returns None and the
-        run is simply cold.  Incumbents only prune (exact bounds), so
-        the returned allocation is bit-identical to a cold run's; only
-        ``evaluations`` (the pruned state count, and with it the
-        study's ``generation_expense``) shrinks.
+        search runs unpruned.  Incumbents only prune (exact bounds), so
+        the returned allocation is bit-identical to an unpruned
+        search's; only ``evaluations`` (the surviving state count, and
+        with it the study's ``generation_expense``) shrinks.
         """
         prev_node: Optional[ProcessorNode] = None
         ready = release
@@ -491,8 +524,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         finish = release
         for index, task_id in enumerate(chain):
             rows = candidates[task_id]
-            incoming = (job.transfer_between(chain[index - 1], task_id)
-                        if index > 0 else None)
+            incoming = incoming_by_index[index]
             hinted = hint.get(task_id) if hint is not None else None
             if hinted is not None:
                 hinted_row = next((r for r in rows if r[1] == hinted),
@@ -559,19 +591,18 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             finish = chosen_end
         return total_cost if cost_mode else float(finish)
 
-    # Warm start: re-fit the hinted allocation to obtain a feasible
-    # incumbent, then prune partial chains whose admissible lower bound
-    # is *strictly* worse.  tail_lb[i] bounds the primary criterion of
-    # chain[i:] from below (per-task minimum over candidate rows;
+    # Branch-and-bound: a greedy descent yields a feasible incumbent,
+    # then partial chains whose admissible lower bound is *strictly*
+    # worse are pruned.  tail_lb[i] bounds the primary criterion of
+    # chain[i:] from below (per-task minimum over the reachable rows;
     # transfer lags, being non-negative, are soundly dropped).
     pruning = False
     allowance_top = _INFINITY
     tail_lb: list[float] = []
-    # Single-task chains cannot profit: the cold DP touches each row
-    # exactly once, which is no more work than building the incumbent
-    # and the lower bounds would be.
-    if hint is not None and len(chain) > 1 and (invariant_cost
-                                                or not cost_mode):
+    # Single-task chains cannot profit: the DP touches each row exactly
+    # once, which is no more work than building the incumbent and the
+    # lower bounds would be.
+    if chain_length > 1 and (invariant_cost or not cost_mode):
         if cost_mode:
             # The incumbent and lower bounds below touch every row's
             # price; models with a vectorized pricer fill them in one
@@ -592,24 +623,19 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                         [row[0] for row in rows])
                     for row, value in zip(rows, priced.tolist()):
                         row[6] = value
-        incumbent = hint_incumbent()
-        if incumbent is None:
-            # The hint no longer re-fits (drifted calendars, collision
-            # on a hinted node) — a greedy descent still recovers an
-            # incumbent most of the time.
-            incumbent = greedy_incumbent()
-            if incumbent is None and cost_mode:
-                # Cheapest-first can paint itself past a tight ceiling;
-                # an earliest-finish descent maximizes slack and often
-                # still completes the chain.
-                incumbent = greedy_incumbent(by_finish=True)
+        incumbent = greedy_incumbent()
+        if incumbent is None and cost_mode:
+            # Cheapest-first can paint itself past a tight ceiling; an
+            # earliest-finish descent maximizes slack and often still
+            # completes the chain.
+            incumbent = greedy_incumbent(by_finish=True)
             if incumbent is not None and PERF.enabled:
                 PERF.incr("dp.greedy_incumbents")
         if incumbent is not None:
             pruning = True
             allowance_top = incumbent
-            tail_lb = [0.0] * (len(chain) + 1)
-            for position in range(len(chain) - 1, -1, -1):
+            tail_lb = [0.0] * (chain_length + 1)
+            for position in range(chain_length - 1, -1, -1):
                 step_task = chain[position]
                 rows = candidates[step_task]
                 if cost_mode:
@@ -625,23 +651,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 PERF.incr("dp.incumbents_warm")
         elif PERF.enabled:
             PERF.incr("dp.incumbents_cold")
-
-    chain_length = len(chain)
-    # Per-position constants, hoisted so each state expansion touches
-    # lists instead of re-querying the job graph.
-    incoming_by_index: list[Optional[DataTransfer]] = [None] * chain_length
-    for position in range(1, chain_length):
-        incoming_by_index[position] = job.transfer_between(
-            chain[position - 1], chain[position])
-    tasks_by_index = [job.task(task_id) for task_id in chain]
-    # Uniform-lag models collapse each edge's lag to one constant (zero
-    # co-located): the scalar inner loop then compares node ids instead
-    # of consulting the transfer cache at all.
-    uniform_by_index: list[Optional[int]] = [None] * chain_length
-    if uniform_lag_fn is not None:
-        for position in range(1, chain_length):
-            uniform_by_index[position] = uniform_lag_fn(
-                incoming_by_index[position])
 
     evaluations = 0
     # memo[(index, prev_node_id, ready)] ->

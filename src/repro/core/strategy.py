@@ -242,9 +242,9 @@ class Strategy:
 
         The repair path feeds these to :meth:`StrategyGenerator.
         generate` so a regeneration against drifted calendars starts
-        from this (stale) strategy's placements: tasks whose nodes kept
-        their slots re-fit as the branch-and-bound incumbent and only
-        the drifted remainder is re-searched.  Hints never change
+        from this (stale) strategy's placements: the incumbent's greedy
+        descent keeps the tasks whose nodes kept their slots and only
+        re-chooses the drifted remainder.  Hints never change
         results (exact pruning) — a hint that no longer fits merely
         costs the search it would have saved.
         """
@@ -323,11 +323,14 @@ class StrategyGenerator:
     cost_model:
         Placement pricing shared by all families (default: CF).
     warm_start:
-        Seed each estimation level's DP with the previous level's
-        node assignment as a branch-and-bound incumbent.  Generated
-        strategies are bit-identical either way (the pruning is exact;
-        see :func:`repro.core.dp.allocate_chain`); warm starts only
-        reduce ``generation_expense`` and wall time.  On by default.
+        Pass each estimation level's DP the previous level's node
+        assignment as a ``hint``: the greedy descent that builds the
+        branch-and-bound incumbent tries those nodes first.  Every
+        multi-task chain is pruned either way; the hint only tightens
+        the incumbent.  Generated strategies are bit-identical either
+        way (the pruning is exact; see
+        :func:`repro.core.dp.allocate_chain`); warm starts only change
+        ``generation_expense`` and wall time.  On by default.
     context:
         The :class:`~repro.core.context.SchedulingContext` shared by
         every per-family scheduler the generator builds (one private
@@ -413,10 +416,10 @@ class StrategyGenerator:
         expense = 0
         # One ranking cache services all levels below: the scheduler
         # re-ranks critical works per level but enumerates the DAG once.
-        # With warm starts, each level additionally seeds its DP with
+        # With warm starts, each level additionally hints its DP with
         # the previous level's node assignment — adjacent levels mostly
-        # agree on nodes, so the incumbent prunes hard while leaving the
-        # outcomes bit-identical.
+        # agree on nodes, so the hinted incumbent prunes hard while
+        # leaving the outcomes bit-identical.
         warm_hint: Optional[Mapping[str, int]] = None
         with PERF.timer("strategy.generate"):
             for level in spec.levels:

@@ -28,21 +28,23 @@ Counter names reported by the kernel
 ``dp.expansions``
     DP state expansions actually performed.  The paper's
     strategy-generation expense metric (``evaluations``) counts the
-    same events; warm-started runs perform — and therefore report —
-    fewer of them while returning bit-identical schedules.
+    same events; branch-and-bound pruning (tighter with a warm-start
+    hint) removes some of them while the schedules stay bit-identical.
 ``dp.pruned``
-    Candidate transitions discarded by warm-start branch-and-bound
-    bounds (work the cold path would have expanded).
+    Candidate transitions discarded by branch-and-bound bounds (work an
+    unpruned search would have expanded).
 ``dp.incumbents_warm`` / ``dp.incumbents_cold``
-    Warm-start hints that re-fit as a feasible incumbent vs. hints
-    that no longer fit the current level/calendars (the run is then
-    cold).  Deliberately *not* a ``*_hits``/``*_misses`` pair: the
-    incumbent machinery is not a cache, and the pair suffix is
+    Multi-task chain searches that found a feasible incumbent to prune
+    with vs. searches that found none (every greedy descent dead-ended,
+    so the search runs unpruned).  Chains the reachability pass proves
+    infeasible, and cost-objective chains under a cost model that is not
+    start-invariant, count in neither.  Deliberately *not* a ``*_hits``/``*_misses``
+    pair: the incumbent machinery is not a cache, and the pair suffix is
     reserved for caches owned by the
     :class:`~repro.core.context.SchedulingContext`.
 ``dp.greedy_incumbents``
-    Cold-hint recoveries: the warm-start hint no longer re-fit, but a
-    greedy descent still produced a feasible incumbent to prune with.
+    Incumbents found only by the earliest-finish descent, after the
+    cheapest-first descent painted itself past a tight ceiling.
 ``dp.transfer_cache_hits`` / ``dp.transfer_cache_misses``
     Per-``(transfer, src, dst)`` transfer-time memoization — the
     context's per-(job, transfer model) lag memo.

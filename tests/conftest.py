@@ -15,9 +15,16 @@ that never look at the schedule.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis.verify import verify_outcome
 from repro.core.critical_works import CriticalWorksScheduler
+
+#: ``pytest --hypothesis-profile dp-deep`` runs the exhaustive DP
+#: reference check of tests/property/test_dp_properties.py at ten times
+#: its default examples (600 instead of 60; that test scales with the
+#: profile).  Nothing loads it by default.
+settings.register_profile("dp-deep", max_examples=1000)
 
 
 @pytest.fixture(autouse=True, scope="session")

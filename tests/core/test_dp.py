@@ -385,6 +385,66 @@ def test_hint_on_infeasible_instance_still_returns_none():
                           hint=hint) is None
 
 
+def _dp_counters(*args, **kwargs):
+    """``allocate_chain``'s result and the ``dp.*`` counters it bumped,
+    cache counters left out."""
+    from repro.perf import PERF
+
+    with PERF.collecting() as registry:
+        result = allocate_chain(*args, **kwargs)
+        counters = {name: count
+                    for name, count in registry.counters.items()
+                    if name.startswith("dp.") and "cache" not in name}
+    return result, counters
+
+
+@pytest.mark.parametrize("hint", [None, {"A": 1, "B": 1, "C": 1}])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_unreachable_chain_returns_none_before_any_search(loaded, hint):
+    """Every task has a candidate row, but no chain of them fits: the
+    forward reachability pass proves it before pricing, the incumbent
+    descent or a single DP expansion."""
+    if loaded:
+        pool = make_pool(1.0, 0.5, 1 / 3)
+        calendars, deadline = _witness_calendars(pool), 8
+    else:
+        pool = make_pool(1.0)
+        calendars, deadline = empty_calendars(pool), 5
+    job = chain_job(deadline=deadline)
+    result, counters = _dp_counters(job, ["A", "B", "C"], pool, calendars,
+                                    deadline, hint=hint)
+    assert result is None
+    assert counters == {}
+
+
+def test_row_reachable_only_from_its_own_node_is_kept():
+    """A co-located successor skips the transfer lag: the reachability
+    pass must keep the row that fits only that way."""
+    job = Job("j", [Task("A", volume=20, best_time=2),
+                    Task("B", volume=30, best_time=3)],
+              [DataTransfer("D1", "A", "B", base_time=10)], deadline=8)
+    pool = make_pool(1.0, 1.0)
+    calendars = empty_calendars(pool)
+    calendars[2].reserve(0, 8, tag="bg")
+    result = allocate_chain(job, ["A", "B"], pool, calendars, 8)
+    assert result.placements == [Placement("A", 1, 0, 2),
+                                 Placement("B", 1, 2, 5)]
+
+
+def test_unhinted_chain_on_a_loaded_pool_prunes():
+    """Cold chains are pruned against a greedy incumbent too (that the
+    answer stays the unpruned one is checked exhaustively in
+    tests/property/test_dp_properties.py)."""
+    job = chain_job()
+    pool = make_pool(1.0, 0.5, 1 / 3)
+    chain = ["A", "B", "C"]
+    result, counters = _dp_counters(job, chain, pool,
+                                    _witness_calendars(pool), 25)
+    assert counters.get("dp.pruned", 0) > 0
+    assert counters["dp.incumbents_warm"] == 1
+    assert result.evaluations == counters["dp.expansions"]
+
+
 def test_whole_pool_calls_report_the_same_expense_with_or_without_context(
         monkeypatch):
     """Every DP call of the critical works method on a loaded whole-pool

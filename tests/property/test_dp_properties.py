@@ -14,11 +14,13 @@ from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Placement, check_distribution
 from repro.core.transfers import NeutralTransferModel, transfer_time_fn
+from repro.grid.data import ReplicationModel
 from repro.workload.generator import generate_job
 
 chain_specs = st.lists(
     st.tuples(st.integers(1, 4),       # base time
-              st.integers(1, 40)),     # volume
+              st.integers(1, 40),      # volume
+              st.integers(0, 3)),      # outgoing transfer's base time
     min_size=1, max_size=4,
 )
 #: Widest pool drawn: past the dozen-node mark, so whole-pool widths are
@@ -27,6 +29,31 @@ MAX_POOL = 14
 #: Chains on pools wider than this are capped at three tasks, keeping
 #: the exhaustive search (pool size ** chain length) cheap.
 WIDE_POOL = 6
+#: Examples per exhaustive-reference check: 60 under the library's
+#: default profile (100 examples), ten times that under the ``dp-deep``
+#: profile registered in tests/conftest.py.
+BRUTE_FORCE_EXAMPLES = settings.default.max_examples * 3 // 5
+
+
+class PairwiseLagModel:
+    """A transfer model without ``uniform_lag``: every node pair has
+    its own lag, so the DP takes its per-pair lag path."""
+
+    def time(self, transfer, src_node, dst_node):
+        if src_node.node_id == dst_node.node_id:
+            return 0
+        return transfer.base_time * ((src_node.node_id
+                                      + 2 * dst_node.node_id) % 3)
+
+    def estimate(self, transfer):
+        return transfer.base_time
+
+
+#: The timing models the exhaustive check runs under: the neutral
+#: model and replication (both uniform-lag) and a pairwise model.
+TRANSFER_MODELS = {"neutral": NeutralTransferModel(),
+                   "replication": ReplicationModel(),
+                   "pairwise": PairwiseLagModel()}
 
 
 @st.composite
@@ -59,61 +86,89 @@ def loaded_pools(draw):
 
 def build_chain_job(specs, deadline):
     tasks = [Task(f"T{i}", volume=v, best_time=b)
-             for i, (b, v) in enumerate(specs)]
-    transfers = [DataTransfer(f"D{i}", f"T{i}", f"T{i+1}")
-                 for i in range(len(specs) - 1)]
+             for i, (b, v, _) in enumerate(specs)]
+    transfers = [DataTransfer(f"D{i}", f"T{i}", f"T{i+1}", base_time=lag)
+                 for i, (_, _, lag) in enumerate(specs[:-1])]
     return Job("chain", tasks, transfers, deadline=deadline)
 
 
-def brute_force(job, chain, pool, calendars, deadline):
-    """Exhaustive min cost over node choices with earliest-fit timing.
+def brute_force(job, chain, pool, calendars, deadline, release,
+                transfer_model, objective):
+    """The DP's whole answer by exhaustive search: ``(cost, finish,
+    placements)`` of the best node sequence, or None if none fits.
 
     For a fixed node sequence, taking each task's earliest fit is
     optimal: an earlier end never shrinks what later tasks can reach,
-    and the cost model is start-invariant.
+    and the cost model is start-invariant.  Costs are summed last task
+    to first, as the DP's recursion sums them, so equal answers are
+    equal bit for bit.  Sequences are enumerated in pool order and only
+    a strictly better rank replaces the best: the DP's own tie-break,
+    which keeps the first node in pool order at every position.
     """
-    model = VolumeOverTimeCost()
-    best = None
+    cost_model = VolumeOverTimeCost()
+    best = best_rank = None
     for nodes in itertools.product(list(pool), repeat=len(chain)):
-        ready, cost, feasible = 0, 0.0, True
-        previous = None
+        ready, previous, placements = release, None, []
         for position, (task_id, node) in enumerate(zip(chain, nodes)):
             lag = 0
-            if previous is not None and previous.node_id != node.node_id:
-                lag = job.transfer_between(chain[position - 1],
-                                           task_id).base_time
+            if previous is not None:
+                lag = transfer_model.time(
+                    job.transfer_between(chain[position - 1], task_id),
+                    previous, node)
             duration = job.task(task_id).duration_on(node.performance)
             start = calendars[node.node_id].earliest_fit(
                 duration, earliest=ready + lag, deadline=deadline)
             if start is None:
-                feasible = False
                 break
-            cost += model.task_cost(
-                job.task(task_id),
-                Placement(task_id, node.node_id, start, start + duration),
-                node)
+            placements.append(
+                Placement(task_id, node.node_id, start, start + duration))
             ready = start + duration
             previous = node
-        if feasible and (best is None or cost < best):
-            best = cost
+        else:
+            cost = 0.0
+            for placement, node in zip(reversed(placements),
+                                       reversed(nodes)):
+                cost = cost_model.task_cost(
+                    job.task(placement.task_id), placement, node) + cost
+            rank = ((cost, ready) if objective == "cost"
+                    else (ready, cost))
+            if best_rank is None or rank < best_rank:
+                best_rank, best = rank, (cost, ready, placements)
     return best
 
 
-@given(chain_specs, loaded_pools(), st.integers(3, 40))
-@settings(max_examples=60, deadline=None)
-def test_dp_matches_brute_force(specs, loaded, deadline):
+#: Warm-start hints: none, or task ids mapped to node ids, some of them
+#: outside the drawn pool.
+hints = st.none() | st.dictionaries(
+    st.sampled_from(["T0", "T1", "T2", "T3"]),
+    st.integers(1, MAX_POOL + 1))
+
+
+@given(chain_specs, loaded_pools(), st.integers(3, 40), st.integers(0, 5),
+       st.sampled_from(sorted(TRANSFER_MODELS)),
+       st.sampled_from(["cost", "time"]), hints)
+@settings(max_examples=BRUTE_FORCE_EXAMPLES, deadline=None)
+def test_dp_matches_brute_force(specs, loaded, deadline, release,
+                                model_name, objective, hint):
+    """The DP returns exactly the exhaustive search's answer — cost,
+    finish and placements — with or without a hint, feasible or not.
+    Pruned searches are checked here against the only unpruned one."""
     pool, calendars = loaded
     if len(pool) > WIDE_POOL:
         specs = specs[:3]
     job = build_chain_job(specs, deadline)
     chain = list(job.tasks)
-    result = allocate_chain(job, chain, pool, calendars, deadline)
-    expected = brute_force(job, chain, pool, calendars, deadline)
+    model = TRANSFER_MODELS[model_name]
+    result = allocate_chain(job, chain, pool, calendars, deadline,
+                            transfer_model=model, release=release,
+                            objective=objective, hint=hint)
+    expected = brute_force(job, chain, pool, calendars, deadline, release,
+                           model, objective)
     if expected is None:
         assert result is None
     else:
         assert result is not None
-        assert result.cost == expected
+        assert (result.cost, result.finish, result.placements) == expected
 
 
 @given(st.integers(0, 500))
