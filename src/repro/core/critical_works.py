@@ -400,7 +400,43 @@ class CriticalWorksScheduler:
                 segment_hint[resolved_placement.task_id] = (
                     resolved_placement.node_id)
             pending = deque(resolved.placements)
-        return True
+
+        # The DP's chain state holds only the previous task, so it can
+        # break an edge between two non-adjacent tasks of the run (S3's
+        # coarsening makes such skip edges).  Then re-place the run cut
+        # before the edge's destination: its source is placed first and
+        # bounds the destination like any fixed predecessor.
+        cut = self._broken_skip_edge(job, segment, placed)
+        if cut is None:
+            return True
+        for task_id in segment:
+            working[placed.pop(task_id).node_id].release_tag(task_id)
+        rest = (base, working, placed, deadline, level, release, outcome,
+                allowed, warm_hint, ctx)
+        return (self._place_segment(job, segment[:cut], *rest)
+                and self._place_segment(job, segment[cut:], *rest))
+
+    def _broken_skip_edge(self, job: Job, segment: list[str],
+                          placed: Mapping[str, Placement]) -> Optional[int]:
+        """Position in the placed ``segment`` of the first task starting
+        before the output of an earlier, non-adjacent task of the
+        segment arrives; None when every such edge holds."""
+        for position in range(2, len(segment)):
+            task_id = segment[position]
+            target = placed[task_id]
+            for pred in job.predecessors(task_id):
+                if pred not in segment[:position - 1]:
+                    continue
+                transfer = job.transfer_between(pred, task_id)
+                if transfer is None:  # pragma: no cover - preds have edges
+                    continue
+                source = placed[pred]
+                lag = self.transfer_model.time(
+                    transfer, self.pool.node(source.node_id),
+                    self.pool.node(target.node_id))
+                if target.start < source.end + lag:
+                    return position
+        return None
 
 
 def _placed_descendants(job: Job, tasks: Sequence[str],

@@ -260,8 +260,8 @@ class Strategy:
         — the distributions, outcomes, and collision records — while the
         frozen placements themselves are shared; ``self`` when ``job``
         already is this strategy's job.  The plan cache serves exact
-        hits uncopied, so the flow layer calls this only for the offer
-        it dispatches or books, whose job id reaches reservation tags.
+        hits uncopied, so the flow layer calls this only for an offer
+        whose variant it books, whose job id reaches reservation tags.
         Only sound for jobs with equal
         :attr:`~repro.core.job.Job.structural_hash`: generation is
         deterministic in the labelled structure, so the rebound

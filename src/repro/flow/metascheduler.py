@@ -6,13 +6,20 @@ the best admissible strategy, commits the chosen supporting schedule
 into the Grid environment, and — when the environment changed between
 planning and commitment — falls back to the strategy's other supporting
 schedules (the dynamic reallocation mechanism) before re-planning.
+
+Both flow lanes commit here: the online lane
+(:mod:`repro.flow.simulation`) runs one metascheduler over every
+domain, the sharded lane (:mod:`repro.flow.sharded`) one per shard
+over that shard's domains.  Every calendar booking goes through
+:meth:`Metascheduler._book`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
+from ..core.calendar import ReservationCalendar
 from ..core.context import SchedulingContext
 from ..core.job import Job
 from ..core.strategy import Strategy, StrategyType, SupportingSchedule
@@ -21,7 +28,11 @@ from ..local.manager import LocalResourceManager, RequestRefused
 from ..local.request import ResourceRequest
 from .economics import InsufficientBudget, VOEconomics
 from .manager import JobManager
-from .sharding import plan_with_cache
+from .sharding import ShardPlanner
+# Bound here only as an instrumentation seam: profilers patch
+# ``repro.flow.metascheduler.plan_with_cache`` by name, so it must stay
+# importable from this module.
+from .sharding import plan_with_cache  # noqa: F401
 
 __all__ = ["FlowRecord", "PlannedDispatch", "Metascheduler"]
 
@@ -34,16 +45,22 @@ class FlowRecord:
     stype: StrategyType
     #: Domain that won the job (None when rejected everywhere).
     domain: Optional[str]
+    #: The plan committed from: the job's own copy once a variant was
+    #: booked or charged; on a conflict, the plan as the cache served
+    #: it (possibly bound to a template sibling).
     strategy: Optional[Strategy]
     #: The supporting schedule actually committed.
     chosen: Optional[SupportingSchedule]
     committed: bool
-    #: Supporting-schedule switches needed at commit time (reallocation).
+    #: Supporting-schedule switches needed at commit time (reallocation),
+    #: summed over every replan.
     reallocations: int = 0
     charge: Optional[float] = None
     #: Why the job was not committed ("inadmissible", "conflict",
     #: "budget"); empty when committed.
     reason: str = ""
+    #: Full replans after every variant was stolen (arbitration).
+    replans: int = 0
 
 
 @dataclass
@@ -53,7 +70,8 @@ class PlannedDispatch:
     Produced by :meth:`Metascheduler.plan_job`, consumed by
     :meth:`Metascheduler.commit_planned` — possibly at a later
     simulated instant (planning latency).  ``manager``/``strategy``
-    are None when no domain offered an admissible strategy."""
+    are None when no domain offered an admissible strategy; a served
+    ``strategy`` may still be bound to a template sibling of ``job``."""
 
     job: Job
     stype: StrategyType
@@ -65,12 +83,14 @@ class PlannedDispatch:
 class Metascheduler:
     """Routes job flows over the domain managers of one VO.
 
-    ``conflict_retries`` (default 0 — the historical behaviour) allows
-    a job whose every supporting schedule was stolen between planning
-    and commitment to be re-planned against the drifted environment up
-    to that many times.  Replanning consults the epoch-keyed plan cache
-    first, so managers whose domain calendars did not change reuse the
-    already-generated strategy outright.
+    ``domains`` (default: every domain of the pool, in pool order)
+    restricts the metascheduler to a subset — one shard of the sharded
+    lane.  ``conflict_retries`` (default 0 — the historical behaviour)
+    allows a job whose every supporting schedule was stolen between
+    planning and commitment to be re-planned against the drifted
+    environment up to that many times.  Replanning consults the
+    epoch-keyed plan cache first, so managers whose domain calendars
+    did not change reuse the already-generated strategy outright.
     """
 
     def __init__(self, grid: GridEnvironment,
@@ -78,29 +98,22 @@ class Metascheduler:
                  economics: Optional[VOEconomics] = None,
                  use_local_managers: bool = False,
                  conflict_retries: int = 0,
-                 context: Optional[SchedulingContext] = None):
+                 context: Optional[SchedulingContext] = None,
+                 domains: Optional[Sequence[str]] = None):
         self.grid = grid
         self.economics = economics
         if conflict_retries < 0:
             raise ValueError(
                 f"conflict_retries must be >= 0, got {conflict_retries}")
         self.conflict_retries = conflict_retries
-        #: Session cache layer shared by every domain manager's strategy
-        #: generator and by the plan cache below (``context.plans``): a
-        #: semantic cache of entries keyed (structural hash, family,
-        #: domain), each holding concrete variants keyed (release,
-        #: domain epoch slice).  An exact variant hit guarantees
-        #: byte-identical generation inputs (strategy generation is
-        #: deterministic, so reuse is exact); a stale variant of the
-        #: same structure instead seeds an incremental repair.
-        #: Bounded by per-entry LRU eviction, so a flood of one-shot
-        #: keys can no longer wipe hot entries wholesale.
-        self.context = context if context is not None else SchedulingContext()
-        self.managers: list[JobManager] = [
-            JobManager(domain, grid.pool, policy_models, cost_model,
-                       context=self.context)
-            for domain in grid.pool.domains()
-        ]
+        #: The offer competition over this metascheduler's domains.  Its
+        #: context — the plan cache (``context.plans``) included — is
+        #: the session cache layer of every domain manager.
+        self.planner = ShardPlanner(
+            grid.pool.domains() if domains is None else domains,
+            grid.pool, policy_models, cost_model, context=context)
+        self.context = self.planner.context
+        self.managers: list[JobManager] = self.planner.managers
         #: When True, commitments go through each domain's local
         #: resource manager as explicit resource requests (the full
         #: Fig. 1 hierarchy) instead of booking calendars directly.
@@ -160,89 +173,79 @@ class Metascheduler:
         batch = self.pending()
         for stype in self.flows:
             self.flows[stype] = []
-        records = [self._dispatch_one(job, stype, release)
+        records = [self.commit(self.plan_job(job, stype, release))
                    for job, stype in batch]
         self.records.extend(records)
         return records
 
-    def _dispatch_one(self, job: Job, stype: StrategyType,
-                      release: int) -> FlowRecord:
-        return self._finish(self.plan_job(job, stype, release))
-
-    def plan_job(self, job: Job, stype: StrategyType,
-                 release: int) -> PlannedDispatch:
+    def plan_job(self, job: Job, stype: StrategyType, release: int,
+                 calendars: Optional[Mapping[int, ReservationCalendar]]
+                 = None) -> PlannedDispatch:
         """Phase one of dispatch: plan on every domain, pick the cheapest.
 
-        Nothing is booked; the returned :class:`PlannedDispatch` can be
-        committed later with :meth:`commit_planned`.  Each manager plans
-        through :func:`~repro.flow.sharding.plan_with_cache`, the
-        exact-hit → warm-repair → cold ladder shared with the shard
-        planners, so re-planning the same job against unchanged domain
-        calendars is free.  Exact hits are compared as cached; only the
-        winning strategy is rebound to ``job``
-        (:meth:`~repro.core.strategy.Strategy.rebind`), so the
-        dispatch's strategy, distributions and reservation tags all
-        carry this job's id.
+        Plans against ``calendars`` (the sharded lane's window snapshot)
+        or a fresh snapshot of the grid, through the plan cache
+        (:meth:`ShardPlanner.plan`).  Nothing is booked; commit the
+        result later with :meth:`commit_planned` or :meth:`commit`.
         """
-        calendars = self.grid.snapshot()
-        best: Optional[tuple[JobManager, Strategy]] = None
-        best_cost = float("inf")
-        for manager in self.managers:
-            strategy = plan_with_cache(manager, job, stype, release,
-                                       calendars, self.context.plans)
-            chosen = strategy.best_schedule()
-            if chosen is None:
-                continue
-            if chosen.outcome.cost < best_cost:
-                best = (manager, strategy)
-                best_cost = chosen.outcome.cost
-        if best is None:
+        if calendars is None:
+            calendars = self.grid.snapshot()
+        offer = self.planner.plan(job, stype, release, calendars)
+        if offer is None:
             return PlannedDispatch(job, stype, release, None, None)
-        return PlannedDispatch(job, stype, release, best[0],
-                               best[1].rebind(job))
+        return PlannedDispatch(job, stype, release, offer[0], offer[1])
 
     def commit_planned(self, planned: PlannedDispatch) -> FlowRecord:
-        """Phase two of dispatch: commit a previously planned job.
-
-        When the environment drifted between planning and commitment the
-        usual fallbacks apply — first across the strategy's supporting
-        schedules (reallocation), then up to ``conflict_retries``
-        replans at the *original* release.  Replans consult the plan
-        cache, so only domains whose calendars changed re-generate.
-        The outcome is appended to :attr:`records`.
-        """
-        record = self._finish(planned)
+        """Phase two of dispatch: :meth:`commit` a previously planned
+        job and append the outcome to :attr:`records`."""
+        record = self.commit(planned)
         self.records.append(record)
         return record
 
-    def _finish(self, planned: PlannedDispatch) -> FlowRecord:
+    def commit(self, planned: PlannedDispatch) -> FlowRecord:
+        """Commit a planned job against the live calendars.
+
+        The one commit discipline of both lanes.  When the environment
+        drifted between planning and commitment the fallbacks apply —
+        first across the strategy's supporting schedules
+        (reallocation), then up to ``conflict_retries`` replans at the
+        *original* release.  Replans consult the plan cache, so only
+        domains whose calendars changed re-generate.  The returned
+        record counts reallocations and replans over every attempt; it
+        is not appended to :attr:`records`.
+        """
         job, stype = planned.job, planned.stype
-        if planned.manager is None:
-            return FlowRecord(job_id=job.job_id, stype=stype, domain=None,
-                              strategy=None, chosen=None, committed=False,
-                              reason="inadmissible")
-        record = self._commit(job, stype, planned.manager, planned.strategy)
-        retries = 0
-        while record.reason == "conflict" and retries < self.conflict_retries:
+        reallocations = replans = 0
+        while True:
+            if planned.manager is None or planned.strategy is None:
+                return FlowRecord(job_id=job.job_id, stype=stype,
+                                  domain=None, strategy=None, chosen=None,
+                                  committed=False,
+                                  reallocations=reallocations,
+                                  reason="inadmissible", replans=replans)
+            record = self._commit(job, stype, planned.manager,
+                                  planned.strategy, planned.release)
+            record.reallocations += reallocations
+            record.replans = replans
+            if (record.reason != "conflict"
+                    or replans >= self.conflict_retries):
+                return record
             # Every variant was stolen between planning and commitment;
             # re-plan against the drifted calendars.  Managers whose
             # domains are untouched hit the plan cache exactly and only
-            # re-offer; the drifted domain repairs its own stale plan —
-            # the entry stored when this job was first planned seeds a
-            # warm regeneration instead of a cold replan.
-            retries += 1
-            replanned = self.plan_job(job, stype, planned.release)
-            if replanned.manager is None:
-                return FlowRecord(job_id=job.job_id, stype=stype,
-                                  domain=None, strategy=None, chosen=None,
-                                  committed=False, reason="inadmissible")
-            record = self._commit(job, stype, replanned.manager,
-                                  replanned.strategy)
-        return record
+            # re-offer; the drifted domain repairs its own stale plan.
+            reallocations = record.reallocations
+            replans += 1
+            planned = self.plan_job(job, stype, planned.release)
 
     def _commit(self, job: Job, stype: StrategyType, manager: JobManager,
-                strategy: Strategy) -> FlowRecord:
-        """Commit the cheapest variant that still fits the environment."""
+                strategy: Strategy, release: int = 0) -> FlowRecord:
+        """Commit the cheapest variant that still fits the environment.
+
+        ``strategy`` may be a plan-cache hit still bound to a template
+        sibling; it is rebound to ``job`` only once a variant fits, so
+        conflicted attempts make no copy.
+        """
         variants = sorted(strategy.admissible_schedules(),
                           key=lambda s: (s.outcome.cost, s.outcome.makespan))
         reallocations = 0
@@ -252,6 +255,13 @@ class Metascheduler:
                 # the next supporting schedule (reallocation mechanism).
                 reallocations += 1
                 continue
+            if strategy.job is not job:
+                # Charge and book this job's copy of the variant.
+                position = next(index for index, schedule
+                                in enumerate(strategy.schedules)
+                                if schedule is variant)
+                strategy = strategy.rebind(job)
+                variant = strategy.schedules[position]
             charge = None
             if (self.economics is not None
                     and self.economics.has_account(job.owner)):
@@ -265,7 +275,7 @@ class Metascheduler:
                         domain=manager.domain, strategy=strategy,
                         chosen=None, committed=False,
                         reallocations=reallocations, reason="budget")
-            self._book(job, manager.domain, variant)
+            self._book(manager.domain, strategy, variant, release)
             return FlowRecord(
                 job_id=job.job_id, stype=stype, domain=manager.domain,
                 strategy=strategy, chosen=variant, committed=True,
@@ -275,13 +285,17 @@ class Metascheduler:
             strategy=strategy, chosen=None, committed=False,
             reallocations=reallocations, reason="conflict")
 
-    def _book(self, job: Job, domain: str,
-              variant: SupportingSchedule) -> None:
+    def _book(self, domain: str, strategy: Strategy,
+              variant: SupportingSchedule, release: int) -> None:
         """Reserve a checked-available variant, via the domain's local
-        manager (full Fig. 1 hierarchy) or directly on the calendars."""
+        manager (full Fig. 1 hierarchy) or directly on the calendars:
+        the flow layer's only booking.  Booking does not need
+        ``release``; it is passed so that a check at this seam sees the
+        instant the variant was planned for."""
         if not self.use_local_managers:
             self.grid.commit_distribution(variant.distribution)
             return
+        job = strategy.job
         requests = [
             ResourceRequest.from_placement(job.job_id, placement,
                                            owner=job.owner)

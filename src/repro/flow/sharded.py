@@ -1,16 +1,17 @@
 """The sharded lane: 10^5+ online arrivals, planned per shard.
 
-The scaling lane of the job-flow layer.  Arrivals are grouped into
-fixed-width *windows*; each window is planned shard-by-shard against a
-frozen snapshot of the environment (the window's start state) and then
-committed in arrival order against the live calendars, with the
-metascheduler's reallocation discipline (variant fallback, then
-bounded replans) resolving whatever drifted inside the window.  Shards
-partition the VO's *nodes* (:func:`~repro.flow.sharding.
-partition_domains` assigns whole domains), so two shards can never
-race for a slot — cross-shard conflicts are structurally impossible,
-and arbitration is only ever needed between same-window jobs of one
-shard.
+The scaling lane of the job-flow layer.  Shards partition the VO's
+domains (:func:`~repro.flow.sharding.partition_domains` assigns whole
+domains), and each shard is run by its own
+:class:`~repro.flow.metascheduler.Metascheduler` over its own
+scheduling context.  Arrivals are grouped into fixed-width *windows*;
+each window is planned shard-by-shard against a frozen snapshot of the
+environment (the window's start state) and then committed in arrival
+order against the live calendars through the metascheduler's commit
+discipline (variant fallback, then bounded replans), which resolves
+whatever drifted inside the window.  Two shards can never race for a
+slot — cross-shard conflicts are structurally impossible, and
+arbitration is only ever needed between same-window jobs of one shard.
 
 Planning runs in-process: shards are planned one after another inside
 one process, and concurrency is logical — each job only ever meets its
@@ -26,10 +27,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.job import Job
 from ..core.resources import ResourcePool
-from ..core.strategy import Strategy, StrategyType
+from ..core.strategy import StrategyType
 from ..grid.environment import GridEnvironment
 from ..sim import RandomStreams
-from .sharding import ShardPlanner, partition_domains
+from .metascheduler import Metascheduler, PlannedDispatch
+from .sharding import partition_domains
 
 __all__ = ["ShardedConfig", "ShardedOutcome", "ShardedSimulation"]
 
@@ -110,7 +112,10 @@ class ShardedOutcome:
 
 
 class ShardedSimulation:
-    """Windowed plan/commit of a large arrival stream over shards."""
+    """Windowed plan/commit of a large arrival stream over shards.
+
+    Keeps one :class:`ShardedOutcome` per arrival; the shards'
+    metaschedulers keep no ``records``."""
 
     def __init__(self, pool: ResourcePool, seed: int = 0,
                  config: Optional[ShardedConfig] = None,
@@ -126,9 +131,12 @@ class ShardedSimulation:
         self.grid = GridEnvironment(pool)
         self.partition = partition_domains(pool.domains(),
                                            self.config.shards)
-        self.planners = [
-            ShardPlanner(shard_id, group, pool, policy_models, cost_model)
-            for shard_id, group in enumerate(self.partition)]
+        #: One metascheduler per shard, each over its own context.
+        self.metaschedulers = [
+            Metascheduler(self.grid, policy_models, cost_model,
+                          conflict_retries=self.config.conflict_retries,
+                          domains=group)
+            for group in self.partition]
         self._job_factory = job_factory
         self.outcomes: List[ShardedOutcome] = []
         self.windows = 0
@@ -172,20 +180,14 @@ class ShardedSimulation:
         self.windows = len(windows)
         for window_index, indices in windows:
             release = (window_index + 1) * config.window
-            offers = self._plan_window(indices, release)
-            self._commit_window(indices, release, offers)
+            self._commit_window(indices, self._plan_window(indices, release))
         return self.outcomes
 
-    # ------------------------------------------------------------------
-    # Plan phase
-    # ------------------------------------------------------------------
-
     def _shard_of(self, index: int) -> int:
-        return index % len(self.planners)
+        return index % len(self.metaschedulers)
 
     def _plan_window(self, indices: List[int], release: int
-                     ) -> Dict[int, Tuple[Optional[str],
-                                          Optional[Strategy], Job]]:
+                     ) -> Dict[int, PlannedDispatch]:
         """Plan a window's jobs, each against its own shard only.
 
         Every job is planned against the *window start* state — the
@@ -195,99 +197,38 @@ class ShardedSimulation:
         by_shard: Dict[int, List[int]] = {}
         for index in indices:
             by_shard.setdefault(self._shard_of(index), []).append(index)
-        offers: Dict[int, Tuple[Optional[str], Optional[Strategy], Job]] = {}
+        planned: Dict[int, PlannedDispatch] = {}
         snapshot = self.grid.snapshot()
         for shard_id in sorted(by_shard):
-            planner = self.planners[shard_id]
+            metascheduler = self.metaschedulers[shard_id]
             for index in by_shard[shard_id]:
                 job, stype = self._job(index)
-                offer = planner.plan(job, stype, release, snapshot)
-                if offer is None:
-                    offers[index] = (None, None, job)
-                else:
-                    offers[index] = (offer[0].domain, offer[1], job)
-        return offers
+                planned[index] = metascheduler.plan_job(
+                    job, stype, release, calendars=snapshot)
+        return planned
 
-    # ------------------------------------------------------------------
-    # Commit phase (the merge/arbitration seam)
-    # ------------------------------------------------------------------
-
-    def _commit_window(self, indices: List[int], release: int,
-                       offers: Dict[int, Tuple[Optional[str],
-                                               Optional[Strategy], Job]]
-                       ) -> None:
+    def _commit_window(self, indices: List[int],
+                       planned: Dict[int, PlannedDispatch]) -> None:
         """Commit a planned window in arrival order against live state.
 
-        The in-order merge.  Same-window neighbours of one shard may
-        have planned overlapping slots; the reallocation
-        discipline resolves that — variant fallback first, then up to
-        ``conflict_retries`` live replans on the job's own shard.
-        Cross-shard conflicts cannot happen (shards own disjoint
-        nodes).
+        The in-order merge: each arrival is committed by its shard's
+        metascheduler, whose fallbacks resolve same-window neighbours
+        of one shard that planned overlapping slots (replans stay on
+        the job's own shard).  Cross-shard conflicts cannot happen
+        (shards own disjoint nodes).
         """
         for index in indices:
-            domain, strategy, job = offers[index]
             shard_id = self._shard_of(index)
-            stype = self.config.stypes[index % len(self.config.stypes)]
-            outcome = ShardedOutcome(
-                job_id=job.job_id, index=index, stype=stype,
-                shard=shard_id, committed=False)
-            if strategy is None:
-                outcome.reason = "inadmissible"
-            else:
-                self._commit_offer(outcome, job, stype, shard_id, domain,
-                                   strategy, release)
-            self.outcomes.append(outcome)
-
-    def _commit_offer(self, outcome: ShardedOutcome, job: Job,
-                      stype: StrategyType, shard_id: int,
-                      domain: Optional[str], strategy: Strategy,
-                      release: int) -> None:
-        """Metascheduler commit discipline against the live calendars.
-
-        ``strategy`` is the offer as the plan cache served it, possibly
-        bound to a template sibling; it is rebound to ``job`` only once
-        a variant is booked, so rejected and conflicted arrivals make
-        no copy.
-        """
-        while True:
-            variants = sorted(
-                strategy.admissible_schedules(),
-                key=lambda s: (s.outcome.cost, s.outcome.makespan))
-            chosen = None
-            for variant in variants:
-                if self.grid.can_commit(variant.distribution):
-                    chosen = variant
-                    break
-                outcome.reallocations += 1
-            if chosen is not None:
-                if strategy.job is not job:
-                    # A plan-cache hit generated for a template sibling:
-                    # book the variant under this job's id.
-                    position = next(i for i, s in
-                                    enumerate(strategy.schedules)
-                                    if s is chosen)
-                    chosen = strategy.rebind(job).schedules[position]
-                self.grid.commit_distribution(chosen.distribution)
-                outcome.committed = True
-                outcome.domain = domain
-                outcome.cost = chosen.outcome.cost
-                outcome.makespan = chosen.outcome.makespan
-                return
-            if outcome.replans >= self.config.conflict_retries:
-                outcome.reason = "conflict"
-                outcome.domain = domain
-                return
-            # Arbitration: a same-window neighbour on this shard stole
-            # every variant; replan at the live state, same shard only.
-            outcome.replans += 1
-            offer = self.planners[shard_id].plan(job, stype, release,
-                                                 self.grid.snapshot())
-            if offer is None:
-                outcome.reason = "inadmissible"
-                outcome.domain = None
-                return
-            domain, strategy = offer[0].domain, offer[1]
+            record = self.metaschedulers[shard_id].commit(planned[index])
+            chosen = record.chosen
+            self.outcomes.append(ShardedOutcome(
+                job_id=record.job_id, index=index, stype=record.stype,
+                shard=shard_id, committed=record.committed,
+                reason=record.reason, domain=record.domain,
+                cost=None if chosen is None else chosen.outcome.cost,
+                makespan=None if chosen is None else chosen.outcome.makespan,
+                reallocations=record.reallocations,
+                replans=record.replans))
 
     # ------------------------------------------------------------------
     # Results

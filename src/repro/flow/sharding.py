@@ -1,23 +1,22 @@
-"""Domain sharding: partitioning the VO and planning per shard.
+"""Domain sharding: partitioning the VO and the offer competition.
 
 The paper's virtual organization is a federation of *domains*, each
 with its own job manager; nothing in the model requires one process to
-plan every domain's jobs serially.  This module supplies the pieces the
-sharded lane (:mod:`repro.flow.sharded`) is built from, and
-the plan-cache read the metascheduler shares with it:
+plan every domain's jobs serially.  This module supplies the planning
+half of the flow layer, shared by both lanes through
+:class:`~repro.flow.metascheduler.Metascheduler`:
 
 * :func:`partition_domains` — a balanced, deterministic partition of
   the VO's domains into shards (a disjoint cover of the pool;
-  property-tested in ``tests/property/test_shard_partition.py``);
+  property-tested in ``tests/property/test_shard_partition.py``), one
+  metascheduler per shard in the sharded lane
+  (:mod:`repro.flow.sharded`);
 * :func:`plan_with_cache` — the flow layer's graded plan-cache read
-  (exact hit → warm repair → cold generation), factored
-  out of the metascheduler so shard planners and the metascheduler
-  share one implementation and one set of counters;
-* :class:`ShardPlanner` — one shard's managers over one shard-owned
+  (exact hit → warm repair → cold generation) and its counters;
+* :class:`ShardPlanner` — a set of domain managers over one
   :class:`~repro.core.context.SchedulingContext`, choosing the
-  cheapest admissible offer exactly like the metascheduler does over
-  the full VO (so one shard over all domains reproduces sequential
-  dispatch bit for bit).
+  cheapest admissible offer: the offer competition behind
+  :meth:`~repro.flow.metascheduler.Metascheduler.plan_job`.
 """
 
 from __future__ import annotations
@@ -69,9 +68,8 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
                     plans: PlanCache) -> "Strategy":
     """Plan one job on one manager through the semantic plan cache.
 
-    The single implementation behind both the metascheduler's
-    ``plan_job`` and the shard planners, so every lane counts reuse
-    identically.  Reads resolve in three grades:
+    Every offer of :meth:`ShardPlanner.plan` is read here, so both
+    lanes count reuse identically.  Reads resolve in three grades:
 
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the
       same structural hash, the same release, and an unchanged epoch
@@ -79,8 +77,9 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
       byte-identical, so the cached strategy itself is returned, still
       bound to the job it was generated for.  Serving it to another
       job (a template sibling) counts ``flow.plan_rebinds``; the copy
-      under the caller's job id is made by whoever books an offer
-      (:meth:`~repro.core.strategy.Strategy.rebind`), never here;
+      under the caller's job id is made only when a variant of the
+      offer is booked (:meth:`~repro.core.strategy.Strategy.rebind`
+      in the metascheduler's commit), never here;
     * **warm repair** (``flow.plan_repairs``) — a same-structure
       variant exists but its release/epochs drifted; its per-level
       assignments seed a warm-started regeneration that re-searches
@@ -125,48 +124,39 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
 
 
 class ShardPlanner:
-    """One shard's job managers over one shard-owned context.
+    """The offer competition over a set of domains.
 
-    Owns a :class:`~repro.core.context.SchedulingContext` (per the
-    sharded design: contexts are shard-private, so concurrent shards
-    never touch each other's caches) and one
-    :class:`~repro.flow.manager.JobManager` per owned domain, in
-    partition order.  :meth:`plan` mirrors the metascheduler's
-    ``plan_job`` offer competition — cheapest admissible offer wins,
-    first manager wins cost ties — restricted to the shard's domains,
-    so a single shard owning every domain is the sequential
-    metascheduler, bit for bit.
+    Owns one :class:`~repro.flow.manager.JobManager` per domain, in the
+    order given, over one :class:`~repro.core.context.SchedulingContext`
+    (its plan cache included).  Each
+    :class:`~repro.flow.metascheduler.Metascheduler` owns one planner:
+    over every domain in the online lane, over one shard's domains in
+    the sharded lane, so concurrent shards never touch each other's
+    caches.
     """
 
-    def __init__(self, shard_id: int, domains: Sequence[str],
+    def __init__(self, domains: Sequence[str],
                  pool: "ResourcePool", policy_models=None, cost_model=None,
                  context: Optional[SchedulingContext] = None):
         if not domains:
-            raise ValueError(f"shard {shard_id} owns no domains")
-        self.shard_id = shard_id
-        self.domains = tuple(domains)
+            raise ValueError("a planner needs at least one domain")
         self.context = context if context is not None else SchedulingContext()
         self.managers = [
             JobManager(domain, pool, policy_models, cost_model,
                        context=self.context)
-            for domain in self.domains
+            for domain in domains
         ]
-        #: The shard's node ids, manager (domain) order then pool order —
-        #: the slice of the VO this planner reads and its commits touch.
-        self.node_ids: Tuple[int, ...] = tuple(
-            node_id for manager in self.managers
-            for node_id in manager.pool.node_ids())
 
     def plan(self, job: "Job", stype: "StrategyType", release: int,
              calendars: Mapping[int, ReservationCalendar]
              ) -> Optional[Tuple[JobManager, "Strategy"]]:
-        """The shard's best offer for a job, or None when inadmissible.
+        """The best offer for a job, or None when inadmissible.
 
-        ``calendars`` must cover (at least) the shard's nodes; managers
-        slice their own domains out.  Nothing is booked, and the offer's
-        strategy is served from the plan cache as stored: it may still
-        be bound to a template sibling of ``job``, so rebind it before
-        booking.
+        The cheapest admissible offer wins; the first manager wins cost
+        ties.  ``calendars`` must cover (at least) the planner's nodes;
+        managers slice their own domains out.  Nothing is booked, and
+        the offer's strategy is served from the plan cache as stored:
+        it may still be bound to a template sibling of ``job``.
         """
         best: Optional[Tuple[JobManager, "Strategy"]] = None
         best_cost = float("inf")

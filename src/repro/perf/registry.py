@@ -73,8 +73,8 @@ Counter names reported by the kernel
 ``flow.plan_rebinds``
     Exact plan-cache hits whose cached strategy was generated for a
     *different* job (a template sibling with the same structural
-    hash).  The cached strategy is served as is; only the offer that
-    wins or is booked is re-tagged to the requesting job, without any
+    hash).  The cached strategy is served as is; only an offer whose
+    variant is booked is re-tagged to the requesting job, without any
     regeneration.  Always a subset of ``flow.plan_cache_hits``.
 ``flow.plan_repairs``
     Warm repairs — the middle outcome between a hit and a miss: a

@@ -10,6 +10,14 @@ Any invariant breach (double-booking, precedence, deadline/admissibility
 inconsistency, ``CF`` mismatch, collision-record drift) fails the test
 that triggered it, so regressions surface at their source even in tests
 that never look at the schedule.
+
+A second autouse fixture wraps
+:meth:`repro.flow.metascheduler.Metascheduler._book`, the flow layer's
+only calendar booking, and verifies every booked variant as booked:
+against its strategy's scheduled job, at the variant's level, the
+dispatch's release and the family's data-policy model.  That covers
+what the build-time check never sees — plans rebound off a template
+sibling and every commit of both flow lanes.
 """
 
 from __future__ import annotations
@@ -17,13 +25,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.analysis.verify import verify_outcome
+from repro.analysis.verify import verify_distribution, verify_outcome
 from repro.core.critical_works import CriticalWorksScheduler
+from repro.flow.metascheduler import Metascheduler
 
 #: ``pytest --hypothesis-profile dp-deep`` runs the exhaustive DP
-#: reference check of tests/property/test_dp_properties.py at ten times
-#: its default examples (600 instead of 60; that test scales with the
-#: profile).  Nothing loads it by default.
+#: reference check and the skip-edge check of
+#: tests/property/test_dp_properties.py at ten times their default
+#: examples (600 instead of 60, and 400 instead of 40 per family; both
+#: scale with the profile).  Nothing loads it by default.
 settings.register_profile("dp-deep", max_examples=1000)
 
 
@@ -55,3 +65,29 @@ def _verify_every_schedule():
         yield
     finally:
         CriticalWorksScheduler.build_schedule = original
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _verify_every_booking():
+    """Wrap the metascheduler's booking so each booked variant is
+    checked as it is committed."""
+    original = Metascheduler._book
+
+    def checked_book(self, domain, strategy, variant, release):
+        manager = next(m for m in self.managers if m.domain == domain)
+        report = verify_distribution(
+            strategy.scheduled_job, variant.distribution, manager.pool,
+            transfer_model=manager.generator.policy_models[
+                strategy.spec.policy],
+            level=variant.level, release=release)
+        if not report.ok:
+            pytest.fail(
+                f"booked schedule violation (auto-verifier):\n"
+                f"{report.summary()}")
+        return original(self, domain, strategy, variant, release)
+
+    Metascheduler._book = checked_book
+    try:
+        yield
+    finally:
+        Metascheduler._book = original

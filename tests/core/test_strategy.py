@@ -169,3 +169,36 @@ def test_schedule_for_level_consistent_with_covering(generator):
             assert chosen in covering
         else:
             assert chosen is None
+
+
+def test_s3_job50_keeps_its_skip_edge_precedence():
+    """Pinned S3 precedence case: job 50 of seed 2009 on a half-loaded
+    25-node pool.  Its coarsened job has a skip edge P1+P2 → P3+P5 on
+    one critical work; P3+P5 once started before P1+P2's output could
+    arrive (at 24, before 19 + transfer 6).  Honouring the edge, the job
+    no longer fits its deadline; with a looser one it is placed, and
+    every placement must verify."""
+    from repro.analysis.verify import verify_strategy
+    from repro.core.job import Job
+    from repro.grid.data import default_policy_models
+    from repro.grid.environment import GridEnvironment
+    from repro.sim import RandomStreams
+    from repro.workload.generator import generate_job, generate_pool
+
+    streams = RandomStreams(2009)
+    pool = generate_pool(RandomStreams(5).stream("pool"))
+    grid = GridEnvironment(pool)
+    grid.apply_background_load(streams.stream("background"), 0.5, 400)
+    job = generate_job(streams.fork("jobs", 50), 50)
+    generator = StrategyGenerator(pool)
+    model = default_policy_models()[STRATEGY_SPECS[StrategyType.S3].policy]
+    strategy = generator.generate(job, grid.snapshot(), StrategyType.S3)
+    assert not strategy.admissible
+    assert verify_strategy(strategy, pool, transfer_model=model).ok
+
+    loose = Job(job.job_id, job.tasks.values(), job.transfers,
+                deadline=2 * job.deadline)
+    strategy = generator.generate(loose, grid.snapshot(), StrategyType.S3)
+    assert strategy.admissible
+    report = verify_strategy(strategy, pool, transfer_model=model)
+    assert report.ok, report.summary()

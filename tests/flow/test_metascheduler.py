@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-import repro.flow.metascheduler as metascheduler_module
+import repro.flow.sharding as sharding_module
 from repro.core.calendar import ReservationCalendar
 from repro.core.context import (DEFAULT_PLAN_VARIANTS, PlanCache,
                                 SchedulingContext)
@@ -49,7 +49,7 @@ def record_offers(monkeypatch):
         offers.append((manager.domain, strategy))
         return strategy
 
-    monkeypatch.setattr(metascheduler_module, "plan_with_cache", recording)
+    monkeypatch.setattr(sharding_module, "plan_with_cache", recording)
     return offers
 
 
@@ -376,9 +376,9 @@ def test_sibling_hit_and_commit_leave_the_plan_cache_untouched():
         counters = dict(registry.counters)
     assert counters.get("flow.plan_cache_hits") == 2
     assert counters.get("flow.plan_rebinds") == 2
-    assert planned.strategy.job is sibling
     record = scheduler.commit_planned(planned)
     assert record.committed
+    assert record.strategy.job is sibling
 
     for domain, key in keys.items():
         cached = scheduler.context.plans.lookup(*key)
@@ -512,3 +512,19 @@ def test_conflict_retry_replans_and_commits():
     # Nothing was committed between the passes, so the retry hit the
     # cache for both domains.
     assert counters.get("flow.plan_cache_hits") == 2
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_conflict_record_counts_every_attempt(retries):
+    """A record sums reallocations over the first commit attempt and
+    every replan, and counts the replans, on every exit."""
+    scheduler = Metascheduler(conflict_once_grid(), conflict_retries=retries)
+    planned = scheduler.plan_job(simple_job(), StrategyType.S1, release=0)
+    stolen = len(planned.strategy.admissible_schedules())
+    assert stolen >= 1
+    record = scheduler.commit_planned(planned)
+    assert record.committed == (retries == 1)
+    assert record.replans == retries
+    # Every variant of the first plan was stolen; the replan's cheapest
+    # variant fits.
+    assert record.reallocations == stolen

@@ -13,9 +13,10 @@ from repro.analysis.verify import verify_coallocation, verify_distribution
 from repro.core.calendar import ReservationCalendar
 from repro.core.context import PlanCache
 from repro.core.schedule import Distribution, Placement
-from repro.core.strategy import STRATEGY_SPECS, Strategy
+from repro.core.strategy import STRATEGY_SPECS, Strategy, StrategyType
 from repro.flow.sharded import (ShardedConfig, ShardedOutcome,
                                 ShardedSimulation)
+from repro.flow.simulation import OnlineConfig, OnlineSimulation
 from repro.grid.data import default_policy_models
 from repro.perf import PERF
 from repro.sim import RandomStreams
@@ -91,7 +92,7 @@ def test_commits_only_touch_the_jobs_own_shard():
     assert committed
     for outcome in committed:
         assert domain_to_shard[outcome.domain] == outcome.shard
-        assert outcome.shard == outcome.index % len(simulation.planners)
+        assert outcome.shard == outcome.index % len(simulation.metaschedulers)
 
 
 def test_repair_seeds_are_bit_identical(monkeypatch):
@@ -114,9 +115,9 @@ def test_repair_seeds_are_bit_identical(monkeypatch):
 
 def test_stats_merge_all_shard_contexts():
     simulation = run_sharded(shards=4, jobs=100)
-    assert len(simulation.planners) == 4
-    assert sum(len(planner.context.plans)
-               for planner in simulation.planners) > 0
+    assert len(simulation.metaschedulers) == 4
+    assert sum(len(metascheduler.context.plans)
+               for metascheduler in simulation.metaschedulers) > 0
 
 
 def test_admission_rate_matches_outcomes():
@@ -141,11 +142,27 @@ def test_template_stream_reuse_floor():
     assert reused / reads >= 0.80
 
 
-def test_plan_cache_hits_are_copied_only_when_booked(monkeypatch):
-    """Exact hits are served uncopied: the lane rebinds a sibling's plan
-    only for the variant it books, so a run makes at most one
+def run_online_template(horizon=30):
+    """The online lane on the same pool and template mix: plans are
+    committed ``plan_latency`` slots after planning, so many are
+    conflicted or rejected by then."""
+    config = OnlineConfig(horizon=horizon, mean_interarrival=0.12,
+                          busy_fraction=0.25, conflict_retries=2,
+                          plan_latency=10,
+                          stypes=(StrategyType.S1, StrategyType.S2))
+    simulation = OnlineSimulation(
+        make_pool(), seed=7, config=config,
+        job_factory=TemplateWorkload(TEMPLATE_WEIGHTS))
+    simulation.run()
+    return simulation
+
+
+@pytest.mark.parametrize("lane", ["sharded", "online"])
+def test_plan_cache_hits_are_copied_only_when_booked(lane, monkeypatch):
+    """Exact hits are served uncopied: both lanes rebind a sibling's
+    plan only for the variant they book, so a run makes at most one
     ``Strategy.rebind`` copy per committed arrival, however many hits
-    its rejected arrivals were served."""
+    its rejected and conflicted arrivals were served."""
     rebind = Strategy.rebind
     copies = []
 
@@ -157,7 +174,10 @@ def test_plan_cache_hits_are_copied_only_when_booked(monkeypatch):
 
     monkeypatch.setattr(Strategy, "rebind", counting_rebind)
     with PERF.collecting() as registry:
-        simulation = run_sharded(shards=2, jobs=300)
+        if lane == "sharded":
+            simulation = run_sharded(shards=2, jobs=300)
+        else:
+            simulation = run_online_template()
         rebinds = registry.counters.get("flow.plan_rebinds", 0)
     committed = {o.job_id for o in simulation.outcomes if o.committed}
     assert committed

@@ -172,3 +172,33 @@ def test_template_flash_crowd_reuse_floor():
               + counters.get("flow.plan_repairs", 0))
     reads = reused + counters.get("flow.plan_cache_misses", 0)
     assert reused / reads >= 0.50
+
+
+def test_s3_commits_keep_precedence_online():
+    """Pinned S3 precedence cases: episode seed 109005 on the 25-node
+    pool with every family enabled.  S3 arrivals job62 and job66 once
+    committed schedules that started a coarse task before a skip-edge
+    predecessor's output arrived; every committed schedule must verify
+    at its release (submission plus plan latency)."""
+    from repro.analysis.verify import verify_distribution
+    from repro.grid.data import default_policy_models
+
+    config = OnlineConfig(horizon=1000, mean_interarrival=6.0,
+                          busy_fraction=0.3, conflict_retries=1,
+                          plan_latency=4)
+    simulation = OnlineSimulation(make_pool(), seed=109005, config=config)
+    simulation.run()
+    records = {r.job_id: r for r in simulation.metascheduler.records}
+    assert records["job62"].stype is records["job66"].stype is StrategyType.S3
+    models = default_policy_models()
+    submitted = {o.job_id: o.submitted for o in simulation.outcomes}
+    for record in records.values():
+        if not record.committed:
+            continue
+        report = verify_distribution(
+            record.strategy.scheduled_job, record.chosen.distribution,
+            simulation.pool,
+            transfer_model=models[record.strategy.spec.policy],
+            level=record.chosen.level,
+            release=submitted[record.job_id] + config.plan_latency)
+        assert report.ok, report.summary()

@@ -3,7 +3,8 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.calendar import ReservationCalendar
@@ -12,9 +13,11 @@ from repro.core.critical_works import CriticalWorksScheduler
 from repro.core.dp import allocate_chain
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
+from repro.analysis.verify import verify_strategy
 from repro.core.schedule import Placement, check_distribution
+from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.core.transfers import NeutralTransferModel, transfer_time_fn
-from repro.grid.data import ReplicationModel
+from repro.grid.data import ReplicationModel, default_policy_models
 from repro.workload.generator import generate_job
 
 chain_specs = st.lists(
@@ -33,6 +36,9 @@ WIDE_POOL = 6
 #: default profile (100 examples), ten times that under the ``dp-deep``
 #: profile registered in tests/conftest.py.
 BRUTE_FORCE_EXAMPLES = settings.default.max_examples * 3 // 5
+#: Examples per family of the skip-edge check: 40 by default, 400 under
+#: ``dp-deep``.
+SKIP_EDGE_EXAMPLES = settings.default.max_examples * 2 // 5
 
 
 class PairwiseLagModel:
@@ -251,3 +257,62 @@ def test_critical_works_respects_background(seed, level):
     for placement in outcome.distribution:
         assert calendars[placement.node_id].is_free(
             placement.start, placement.end)
+
+
+@st.composite
+def skip_edge_jobs(draw):
+    """A chain ``T0 → … → Tn-1`` plus at least one skip edge ``Ti → Tj``
+    (``j > i + 1``) — an edge between two non-adjacent tasks of the
+    job's longest path, with a transfer long enough to matter."""
+    size = draw(st.integers(3, 6))
+    tasks = []
+    for i in range(size):
+        best = draw(st.integers(1, 4))
+        tasks.append(Task(f"T{i}", volume=draw(st.integers(1, 40)),
+                          best_time=best,
+                          worst_time=best + draw(st.integers(0, 3))))
+    skips = set()
+    for _ in range(draw(st.integers(1, 3))):
+        src = draw(st.integers(0, size - 3))
+        skips.add((src, draw(st.integers(src + 2, size - 1))))
+    transfers = [DataTransfer(f"D{i}", f"T{i}", f"T{i + 1}",
+                              base_time=draw(st.integers(0, 2)))
+                 for i in range(size - 1)]
+    transfers += [DataTransfer(f"S{src}_{dst}", f"T{src}", f"T{dst}",
+                               base_time=draw(st.integers(1, 8)))
+                  for src, dst in sorted(skips)]
+    return Job("skip", tasks, transfers,
+               deadline=draw(st.integers(20, 80)))
+
+
+#: The smallest case found where S1 once broke a skip edge: T3 started
+#: right after T2 on the other node, before T1's output arrived.
+PINNED_SKIP_JOB = Job(
+    "skip",
+    [Task("T0", volume=1, best_time=1), Task("T1", volume=1, best_time=1),
+     Task("T2", volume=1, best_time=1), Task("T3", volume=2, best_time=1)],
+    [DataTransfer("D0", "T0", "T1", base_time=0),
+     DataTransfer("D1", "T1", "T2", base_time=1),
+     DataTransfer("D2", "T2", "T3", base_time=0),
+     DataTransfer("S1_3", "T1", "T3", base_time=3)],
+    deadline=20)
+PINNED_SKIP_POOL = ResourcePool([ProcessorNode(node_id=1, performance=1.0),
+                                 ProcessorNode(node_id=2, performance=0.5)])
+
+
+@pytest.mark.parametrize("stype", list(StrategyType))
+@given(skip_edge_jobs(), loaded_pools())
+@example(PINNED_SKIP_JOB,
+         (PINNED_SKIP_POOL, {1: ReservationCalendar(),
+                             2: ReservationCalendar()}))
+@settings(max_examples=SKIP_EDGE_EXAMPLES, deadline=None)
+def test_skip_edges_hold_in_every_family(stype, job, loaded):
+    """Every supporting schedule of every family honours every edge,
+    including those between non-adjacent tasks of one critical work,
+    which the DP's chain state does not carry."""
+    pool, calendars = loaded
+    strategy = StrategyGenerator(pool).generate(job, calendars, stype)
+    report = verify_strategy(
+        strategy, pool,
+        transfer_model=default_policy_models()[strategy.spec.policy])
+    assert report.ok, report.summary()
