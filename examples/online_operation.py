@@ -1,9 +1,10 @@
 """Online operation: the framework running live on the simulation clock.
 
 Jobs arrive as a Poisson stream; each is planned and committed by the
-metascheduler on arrival and then *executed* on per-node agents with
-actual (randomized) task durations — producers that run long really do
-delay their consumers.  Two passes compare the punctual regime (actual
+metascheduler on arrival, and the committed jobs are then *executed*
+with actual (randomized) task durations, each node serving its ready
+tasks first come, first served — producers that run long really do
+delay their consumers and the node's later work.  Two passes compare the punctual regime (actual
 durations within the activated schedule's estimates) against an
 overrun regime (estimates sometimes wrong), showing how QoS erodes.
 

@@ -5,13 +5,14 @@ Computing" (PaCT 2009).
 Packages
 --------
 ``repro.sim``
-    Discrete-event simulation kernel (processes, resources, RNG streams).
+    Discrete-event simulation kernel (processes, timeouts) and named
+    RNG streams.
 ``repro.core``
     The paper's contribution: compound jobs, reservation calendars, the
     critical works method, and strategies as sets of supporting schedules.
 ``repro.grid``
     Environment substrate: data policies, background load, execution
-    replay, DES node agents.
+    replay.
 ``repro.local``
     Local batch-job management systems (FCFS, LWF, backfilling, gang,
     advance reservations).

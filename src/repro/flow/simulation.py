@@ -2,13 +2,14 @@
 
 The experiment studies (:mod:`repro.experiments.study`) evaluate the
 framework analytically — plan, commit, replay.  This module runs it
-*live*: a Poisson stream of compound jobs arrives over simulated time;
-each arrival is planned and committed by the metascheduler against the
-current environment; committed tasks then execute on
-:class:`~repro.grid.node.NodeAgent` processes with their **actual**
-durations, so an overrunning producer really does delay its consumers
-and the next reservation on the same node — the end-to-end QoS picture
-the paper's framework is meant to control.
+*live*: a Poisson stream of compound jobs arrives over simulated time,
+and each arrival is planned and committed by the metascheduler against
+the current environment on the DES clock.  Execution never feeds back
+into planning, so once the arrivals are over every committed job is
+replayed in one pass (:func:`~repro.grid.execution.replay_fcfs`) with
+its **actual** durations: an overrunning producer delays its consumers
+and whatever asked for the same node after it — the end-to-end QoS
+picture the paper's framework is meant to control.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..core.resources import ResourcePool
 from ..core.strategy import StrategyType
 from ..grid.data import default_policy_models
 from ..grid.environment import GridEnvironment
-from ..grid.node import NodeAgent
+from ..grid.execution import BookedJob, ExecutionTrace, replay_fcfs
 from ..sim import Environment, RandomStreams
 from .economics import VOEconomics
 from .metascheduler import FlowRecord, Metascheduler
@@ -91,7 +92,7 @@ class JobOutcome:
     reason: str = ""
     #: Completion bound promised by the supporting schedule.
     planned_makespan: Optional[int] = None
-    #: When the last task actually finished on the DES clock.
+    #: When the last task actually finished in the execution replay.
     actual_makespan: Optional[int] = None
     #: True when the actual completion met the job's fixed time.
     met_deadline: Optional[bool] = None
@@ -106,7 +107,8 @@ class JobOutcome:
 
 
 class OnlineSimulation:
-    """Drives jobs through plan → commit → execute on the DES clock."""
+    """Drives jobs through plan → commit on the DES clock, then replays
+    their execution."""
 
     def __init__(self, pool: ResourcePool, seed: int = 0,
                  config: Optional[OnlineConfig] = None,
@@ -126,9 +128,11 @@ class OnlineSimulation:
         #: per-job memos, and gap tables carry across arrivals instead
         #: of starting cold per job.
         self.context = self.metascheduler.context
-        self.agents = {node.node_id: NodeAgent(self.sim, node)
-                       for node in pool}
         self.outcomes: list[JobOutcome] = []
+        #: Committed jobs in commit order, and their execution traces
+        #: once :meth:`run` has replayed them.
+        self._committed: list[tuple[FlowRecord, JobOutcome]] = []
+        self.traces: list[ExecutionTrace] = []
         self._policy_models = default_policy_models()
         if job_factory is None:
             from ..workload.generator import generate_job
@@ -148,6 +152,7 @@ class OnlineSimulation:
                 max_burst=self.config.background_burst)
         self.sim.process(self._arrivals())
         self.sim.run()
+        self._replay()
         self.outcomes.sort(key=lambda o: (o.submitted, o.job_id))
         return self.outcomes
 
@@ -191,58 +196,29 @@ class OnlineSimulation:
         self.outcomes.append(outcome)
         if record.committed:
             outcome.planned_makespan = record.chosen.outcome.makespan
-            self.sim.process(self._execute(record, outcome))
+            self._committed.append((record, outcome))
 
-    # ------------------------------------------------------------------
-
-    def _execute(self, record: FlowRecord, outcome: JobOutcome):
-        """Run every task of a committed job with actual durations."""
-        strategy = record.strategy
-        scheduled = strategy.scheduled_job
-        distribution = record.chosen.distribution
-        model = self._policy_models[strategy.spec.policy]
-        ceiling = (record.chosen.level if self.config.actual_within_plan
-                   else 1.0)
-        actual_level = float(
-            self.streams.fork(f"actual:{record.job_id}", 0)
-            .uniform(0.0, ceiling))
-
-        done: dict[str, object] = {
-            task_id: self.sim.event() for task_id in scheduled.tasks}
-        handles = []
-        for task_id in scheduled.topological_order():
-            handles.append(self.sim.process(self._run_task(
-                scheduled, distribution, task_id, done, model,
-                actual_level)))
-        yield self.sim.all_of(handles)
-        outcome.actual_makespan = int(max(
-            event.value for event in done.values()))
-        if scheduled.deadline:
-            outcome.met_deadline = (
-                outcome.actual_makespan
-                <= outcome.submitted + scheduled.deadline)
-
-    def _run_task(self, scheduled: Job, distribution, task_id: str,
-                  done: dict, model, actual_level: float):
-        placement = distribution.placement(task_id)
-        node = self.pool.node(placement.node_id)
-        ready = float(placement.start)
-        predecessors = scheduled.predecessors(task_id)
-        if predecessors:
-            yield self.sim.all_of([done[p] for p in predecessors])
-            for pred in predecessors:
-                transfer = scheduled.transfer_between(pred, task_id)
-                pred_node = self.pool.node(
-                    distribution.placement(pred).node_id)
-                lag = model.time(transfer, pred_node, node)
-                ready = max(ready, done[pred].value + lag)
-        if self.sim.now < ready:
-            yield self.sim.timeout(ready - self.sim.now)
-        duration = scheduled.task(task_id).duration_on(
-            node.performance, actual_level)
-        run = yield self.agents[placement.node_id].execute(
-            task_id, not_before=placement.start, duration=duration)
-        done[task_id].succeed(run.end)
+    def _replay(self) -> None:
+        """Replay every committed job with actual durations, in one pass
+        over the shared nodes, in commit order."""
+        booked = []
+        for record, _ in self._committed:
+            ceiling = (record.chosen.level if self.config.actual_within_plan
+                       else 1.0)
+            actual_level = float(
+                self.streams.fork(f"actual:{record.job_id}", 0)
+                .uniform(0.0, ceiling))
+            booked.append(BookedJob(
+                record.strategy.scheduled_job, record.chosen.distribution,
+                actual_level,
+                self._policy_models[record.strategy.spec.policy]))
+        self.traces = replay_fcfs(booked, self.pool)
+        for (record, outcome), trace in zip(self._committed, self.traces):
+            outcome.actual_makespan = trace.makespan
+            deadline = record.strategy.scheduled_job.deadline
+            if deadline:
+                outcome.met_deadline = trace.met_deadline(
+                    deadline, release=outcome.submitted)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -263,6 +239,14 @@ class OnlineSimulation:
         return sum(1 for o in executed if o.met_deadline) / len(executed)
 
     def node_utilization(self) -> dict[int, float]:
-        """Busy fraction of every node over the elapsed simulation."""
-        return {node_id: agent.utilization()
-                for node_id, agent in self.agents.items()}
+        """Busy fraction of every node from time 0 to the later of the
+        DES clock's last event and the last actual task end."""
+        busy = {node.node_id: 0 for node in self.pool}
+        elapsed = self.sim.now
+        for trace in self.traces:
+            for run in trace.runs.values():
+                busy[run.node_id] += run.actual_duration
+                elapsed = max(elapsed, run.actual_end)
+        if elapsed <= 0:
+            return dict.fromkeys(busy, 0.0)
+        return {node_id: time / elapsed for node_id, time in busy.items()}

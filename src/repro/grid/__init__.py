@@ -2,7 +2,8 @@
 
 Models the distributed environment underneath the scheduling framework:
 data-policy transfer timings, per-node reservation state with
-background load, deterministic execution replay, and DES node agents.
+background load, and deterministic execution replay (one job alone, or
+every committed job sharing the nodes first come, first served).
 """
 
 from .data import (
@@ -12,8 +13,13 @@ from .data import (
     default_policy_models,
 )
 from .environment import BackgroundEvent, GridEnvironment
-from .execution import ExecutionTrace, TaskRun, simulate_execution
-from .node import CompletedRun, NodeAgent
+from .execution import (
+    BookedJob,
+    ExecutionTrace,
+    TaskRun,
+    replay_fcfs,
+    simulate_execution,
+)
 
 __all__ = [
     "ReplicationModel",
@@ -25,6 +31,6 @@ __all__ = [
     "ExecutionTrace",
     "TaskRun",
     "simulate_execution",
-    "CompletedRun",
-    "NodeAgent",
+    "BookedJob",
+    "replay_fcfs",
 ]

@@ -5,20 +5,25 @@ then differs ("actual solving time Ti for a task can be different from
 user estimation Tij").  This module replays a distribution against
 actual durations, propagating delays through the job's precedence
 structure, and reports the start-time forecast errors and run times
-behind the Fig. 4b/4c factors.
+behind the Fig. 4b/4c factors.  :func:`simulate_execution` replays one
+job on otherwise idle nodes; :func:`replay_fcfs` replays every job the
+online lane committed together, each node serving its ready tasks first
+come, first served, so an overrun also delays other jobs' tasks.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..core.job import Job
 from ..core.resources import ResourcePool
-from ..core.schedule import Distribution
+from ..core.schedule import Distribution, Placement
 from ..core.transfers import NeutralTransferModel, TransferModel
 
-__all__ = ["TaskRun", "ExecutionTrace", "simulate_execution"]
+__all__ = ["TaskRun", "ExecutionTrace", "simulate_execution", "BookedJob",
+           "replay_fcfs"]
 
 
 @dataclass(frozen=True)
@@ -101,30 +106,109 @@ def simulate_execution(job: Job, distribution: Distribution,
     on its assigned node; ``actual_durations`` overrides per task.  A
     task starts at the later of its reserved start and the moment all
     its inputs are available (predecessor actual end + transfer lag).
+    Nodes are contention-free: the job is replayed on its own.
     """
     transfer_model = transfer_model or NeutralTransferModel()
     trace = ExecutionTrace(job_id=job.job_id)
 
     for task_id in job.topological_order():
         placement = distribution.placement(task_id)
-        node = pool.node(placement.node_id)
-        if actual_durations is not None and task_id in actual_durations:
-            duration = actual_durations[task_id]
-            if duration <= 0:
-                raise ValueError(
-                    f"actual duration for {task_id!r} must be positive")
-        else:
-            duration = job.task(task_id).duration_on(node.performance,
-                                                     actual_level)
-        ready = placement.start
-        for pred in job.predecessors(task_id):
-            pred_run = trace.runs[pred]
-            transfer = job.transfer_between(pred, task_id)
-            lag = transfer_model.time(
-                transfer, pool.node(pred_run.node_id), node)
-            ready = max(ready, pred_run.actual_end + lag)
-        trace.runs[task_id] = TaskRun(
-            task_id=task_id, node_id=placement.node_id,
-            planned_start=placement.start, planned_end=placement.end,
-            actual_start=ready, actual_end=ready + duration)
+        ready = _input_ready(job, task_id, placement, trace, pool,
+                             transfer_model)
+        trace.runs[task_id] = _run(placement, ready, _actual_duration(
+            job, task_id, pool, placement, actual_level, actual_durations))
     return trace
+
+
+class BookedJob(NamedTuple):
+    """A committed job as :func:`replay_fcfs` replays it."""
+
+    job: Job
+    distribution: Distribution
+    actual_level: float
+    transfer_model: TransferModel
+
+
+def replay_fcfs(booked: Sequence[BookedJob],
+                pool: ResourcePool) -> list[ExecutionTrace]:
+    """Replay several committed jobs that share the pool's nodes.
+
+    Each task requests its node once it is ready, by the rule of
+    :func:`simulate_execution`: its reserved start, or its last input's
+    actual end plus transfer lag if later.  A node serves its requests
+    first come, first served, one task at a time, so a task that
+    overruns its reservation delays whatever asked for the node after
+    it, of its own job or another.  Simultaneous requests go in order
+    of reserved start, then of ``booked`` (commit order), then of task
+    id.  Returns one trace per booked job, in ``booked`` order.
+    """
+    traces = [ExecutionTrace(job_id=item.job.job_id) for item in booked]
+    waiting = [{task_id: len(item.job.predecessors(task_id))
+                for task_id in item.job.tasks} for item in booked]
+    requests: list[tuple[int, int, int, str]] = []
+
+    def request(order: int, task_id: str) -> None:
+        item = booked[order]
+        placement = item.distribution.placement(task_id)
+        ready = _input_ready(item.job, task_id, placement, traces[order],
+                             pool, item.transfer_model)
+        heapq.heappush(requests, (ready, placement.start, order, task_id))
+
+    for order, pending in enumerate(waiting):
+        for task_id, count in pending.items():
+            if not count:
+                request(order, task_id)
+    # A request is pushed when its last input is served, and it is ready
+    # later than that input was, so requests leave the heap in ready
+    # order: first come, first served on every node at once.
+    node_free: dict[int, int] = {}
+    while requests:
+        ready, _, order, task_id = heapq.heappop(requests)
+        item = booked[order]
+        placement = item.distribution.placement(task_id)
+        start = max(ready, node_free.get(placement.node_id, ready))
+        run = _run(placement, start, _actual_duration(
+            item.job, task_id, pool, placement, item.actual_level))
+        node_free[placement.node_id] = run.actual_end
+        traces[order].runs[task_id] = run
+        for successor in item.job.successors(task_id):
+            waiting[order][successor] -= 1
+            if not waiting[order][successor]:
+                request(order, successor)
+    return traces
+
+
+def _actual_duration(job: Job, task_id: str, pool: ResourcePool,
+                     placement: Placement, actual_level: float,
+                     overrides: Optional[Mapping[str, int]] = None) -> int:
+    """The task's duration at ``actual_level`` on its node, unless
+    ``overrides`` gives it."""
+    if overrides is not None and task_id in overrides:
+        duration = overrides[task_id]
+        if duration <= 0:
+            raise ValueError(
+                f"actual duration for {task_id!r} must be positive")
+        return duration
+    return job.task(task_id).duration_on(
+        pool.node(placement.node_id).performance, actual_level)
+
+
+def _input_ready(job: Job, task_id: str, placement: Placement,
+                 trace: ExecutionTrace, pool: ResourcePool,
+                 transfer_model: TransferModel) -> int:
+    """The reserved start, or the last input's arrival if later."""
+    node = pool.node(placement.node_id)
+    ready = placement.start
+    for pred in job.predecessors(task_id):
+        pred_run = trace.runs[pred]
+        lag = transfer_model.time(job.transfer_between(pred, task_id),
+                                  pool.node(pred_run.node_id), node)
+        ready = max(ready, pred_run.actual_end + lag)
+    return ready
+
+
+def _run(placement: Placement, start: int, duration: int) -> TaskRun:
+    return TaskRun(
+        task_id=placement.task_id, node_id=placement.node_id,
+        planned_start=placement.start, planned_end=placement.end,
+        actual_start=start, actual_end=start + duration)

@@ -62,8 +62,3 @@ class RandomStreams:
         sequence = np.random.SeedSequence(
             [self.seed, stable_hash(name), int(index)])
         return np.random.default_rng(sequence)
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent stream family (e.g. per replication)."""
-        return RandomStreams(
-            seed=(self.seed * 0x9E3779B1 + stable_hash(name)) % (2**31))

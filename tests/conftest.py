@@ -18,6 +18,16 @@ against its strategy's scheduled job, at the variant's level, the
 dispatch's release and the family's data-policy model.  That covers
 what the build-time check never sees — plans rebound off a template
 sibling and every commit of both flow lanes.
+
+A third wraps :func:`repro.grid.execution.replay_fcfs`, the online
+lane's execution replay: every replayed trace must respect its
+reservations and its inputs' actual arrival under the family's policy
+model (:func:`~repro.analysis.verify.verify_trace`), and no two runs may
+overlap on one node, across jobs.  A fourth wraps
+:meth:`repro.flow.simulation.OnlineSimulation.run` and, after each run,
+checks the committed set for capacity overcommits against the
+background load (:func:`~repro.analysis.verify.verify_coallocation`),
+as the end-to-end benchmark's gate does.
 """
 
 from __future__ import annotations
@@ -25,9 +35,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.analysis.verify import verify_distribution, verify_outcome
+import repro.flow.simulation
+import repro.grid.execution
+from repro.analysis.verify import (
+    verify_coallocation,
+    verify_distribution,
+    verify_outcome,
+    verify_trace,
+)
+from repro.core.calendar import ReservationCalendar
 from repro.core.critical_works import CriticalWorksScheduler
 from repro.flow.metascheduler import Metascheduler
+from repro.flow.simulation import OnlineSimulation
 
 #: ``pytest --hypothesis-profile dp-deep`` runs the exhaustive DP
 #: reference check and the skip-edge check of
@@ -91,3 +110,66 @@ def _verify_every_booking():
         yield
     finally:
         Metascheduler._book = original
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _verify_every_replay():
+    """Wrap the shared-node replay at both of its import sites so each
+    trace is checked, and no node runs two tasks at once."""
+    original = repro.grid.execution.replay_fcfs
+    sites = (repro.grid.execution, repro.flow.simulation)
+
+    def checked_replay(booked, pool):
+        traces = original(booked, pool)
+        runs_by_node: dict[int, list] = {}
+        for item, trace in zip(booked, traces):
+            report = verify_trace(item.job, item.distribution, trace, pool,
+                                  transfer_model=item.transfer_model)
+            if not report.ok:
+                pytest.fail(f"replayed trace violation (auto-verifier):\n"
+                            f"{report.summary()}")
+            for run in trace.runs.values():
+                runs_by_node.setdefault(run.node_id, []).append(
+                    (run.actual_start, run.actual_end, trace.job_id,
+                     run.task_id))
+        for node_id, runs in runs_by_node.items():
+            runs.sort()
+            for before, after in zip(runs, runs[1:]):
+                if after[0] < before[1]:
+                    pytest.fail(f"replay ran two tasks at once on node "
+                                f"{node_id}: {before} and {after}")
+        return traces
+
+    for site in sites:
+        site.replay_fcfs = checked_replay
+    try:
+        yield
+    finally:
+        for site in sites:
+            site.replay_fcfs = original
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _verify_every_online_run():
+    """After each online run, check the committed set against the
+    background load and against itself."""
+    original = OnlineSimulation.run
+
+    def checked_run(self):
+        outcomes = original(self)
+        background = {node_id: ReservationCalendar(
+            r for r in calendar.reservations if r.tag == "background")
+            for node_id, calendar in self.grid.calendars.items()}
+        report = verify_coallocation(
+            [r.chosen.distribution for r in self.metascheduler.records
+             if r.committed], self.pool, background)
+        if not report.ok:
+            pytest.fail(f"committed set violation (auto-verifier):\n"
+                        f"{report.summary()}")
+        return outcomes
+
+    OnlineSimulation.run = checked_run
+    try:
+        yield
+    finally:
+        OnlineSimulation.run = original

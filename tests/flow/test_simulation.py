@@ -48,6 +48,23 @@ def test_punctual_mode_never_runs_late():
         assert outcome.met_deadline
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "plans target release = submit + plan_latency, but execution is "
+    "judged against submit + deadline, so an admitted plan may finish up "
+    "to plan_latency slots late (seed 5 misses 37 of 46; with "
+    "plan_latency=0 it misses none)"))
+def test_punctual_jobs_meet_the_deadline_counted_from_submission():
+    """Admission should promise only what execution checks: in the
+    punctual regime every committed job meets submit + deadline."""
+    config = OnlineConfig(horizon=300, mean_interarrival=6.0,
+                          plan_latency=4, conflict_retries=1,
+                          actual_within_plan=True)
+    outcomes = OnlineSimulation(make_pool(), seed=5, config=config).run()
+    executed = [o for o in outcomes if o.met_deadline is not None]
+    assert executed
+    assert all(o.met_deadline for o in executed)
+
+
 def test_overrun_mode_can_run_late():
     """Unbounded actual levels produce at least some lateness."""
     config = OnlineConfig(horizon=250, mean_interarrival=8.0,
@@ -85,13 +102,24 @@ def test_metrics_are_consistent():
         committed / len(outcomes))
     utilization = simulation.node_utilization()
     assert all(0.0 <= value <= 1.0 for value in utilization.values())
-    # Committed jobs did execute on the agents.
-    total_runs = sum(len(agent.completed)
-                     for agent in simulation.agents.values())
-    assert total_runs > 0
-    # Everything admitted eventually ran to completion.
-    assert all(o.actual_makespan is not None
-               for o in outcomes if o.committed)
+    # Committed jobs did execute: one trace per committed job, in
+    # commit order, each running every task of its scheduled job.
+    executed = [o for o in outcomes if o.committed]
+    traces = {trace.job_id: trace for trace in simulation.traces}
+    assert len(simulation.traces) == len(traces) == len(executed) > 0
+    records = {r.job_id: r for r in simulation.metascheduler.records}
+    for outcome in executed:
+        trace = traces[outcome.job_id]
+        assert set(trace.runs) == set(
+            records[outcome.job_id].strategy.scheduled_job.tasks)
+        assert outcome.actual_makespan == trace.makespan
+    # Utilization is the traces' busy time over the elapsed time.
+    elapsed = max([simulation.sim.now] + [
+        run.actual_end for trace in simulation.traces
+        for run in trace.runs.values()])
+    busy = sum(run.actual_duration for trace in simulation.traces
+               for run in trace.runs.values())
+    assert sum(utilization.values()) == pytest.approx(busy / elapsed)
 
 
 def test_background_load_reduces_admission():

@@ -11,9 +11,14 @@ from repro.core import (
 from repro.core.schedule import check_distribution
 from repro.core.transfers import transfer_time_fn
 from repro.flow import VirtualOrganization, strategy_time_to_live
-from repro.grid import GridEnvironment, NodeAgent, simulate_execution
+from repro.grid import (
+    BookedJob,
+    GridEnvironment,
+    replay_fcfs,
+    simulate_execution,
+)
 from repro.grid.data import default_policy_models
-from repro.sim import Environment, RandomStreams
+from repro.sim import RandomStreams
 from repro.workload import generate_job, generate_pool
 
 
@@ -71,7 +76,8 @@ def test_vo_flow_end_to_end(seeded_world):
 
 
 def test_committed_reservations_execute_on_des(seeded_world):
-    """Drive a committed distribution through the DES node agents."""
+    """Replay committed distributions on the shared nodes, first come,
+    first served."""
     streams, pool = seeded_world
     environment = GridEnvironment(pool)
     job = generate_job(streams.fork("jobs", 0), 0)
@@ -81,21 +87,24 @@ def test_committed_reservations_execute_on_des(seeded_world):
     chosen = strategy.best_schedule()
     assert chosen is not None
     environment.commit_distribution(chosen.distribution)
+    # A second job booked around the first on the same environment.
+    other = generator.generate(generate_job(streams.fork("jobs", 1), 1),
+                               environment.snapshot(), StrategyType.S1)
+    assert other.best_schedule() is not None
+    environment.commit_distribution(other.best_schedule().distribution)
 
-    sim = Environment()
-    agents = {node.node_id: NodeAgent(sim, node) for node in pool}
-    handles = []
-    for placement in chosen.distribution:
-        handles.append(agents[placement.node_id].execute(
-            placement.task_id, not_before=placement.start,
-            duration=placement.duration))
-    sim.run()
-    runs = {handle.value.task_id: handle.value for handle in handles}
-    # Reservation-driven execution: every task ran inside its slot.
-    for placement in chosen.distribution:
-        run = runs[placement.task_id]
-        assert run.start == placement.start
-        assert run.end == placement.end
+    models = default_policy_models()
+    booked = [BookedJob(s.scheduled_job, s.best_schedule().distribution,
+                        s.best_schedule().level, models[s.spec.policy])
+              for s in (strategy, other)]
+    traces = replay_fcfs(booked, pool)
+    # Reservation-driven execution at the planned level: every task ran
+    # exactly in its slot, and neither job delayed the other.
+    for item, trace in zip(booked, traces):
+        for placement in item.distribution:
+            run = trace.runs[placement.task_id]
+            assert (run.actual_start, run.actual_end) == (
+                placement.start, placement.end)
 
 
 def test_strategy_survives_and_dies_consistently(seeded_world):

@@ -43,15 +43,6 @@ def test_fork_is_order_independent():
     assert first == second
 
 
-def test_spawn_derives_independent_family():
-    base = RandomStreams(seed=9)
-    child1 = base.spawn("rep-1")
-    child2 = base.spawn("rep-2")
-    assert child1.seed != child2.seed
-    assert (child1.stream("x").integers(0, 10**9)
-            != child2.stream("x").integers(0, 10**9))
-
-
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RandomStreams(seed=-1)
