@@ -278,6 +278,34 @@ class ReservationCalendar:
             return cursor
         return None
 
+    def latest_fit(self, duration: int, latest_end: int,
+                   earliest: int) -> Optional[int]:
+        """Latest start of a free slot of ``duration`` ending by ``latest_end``.
+
+        Only starts at or past ``earliest`` count; returns None when no
+        such slot exists.  The mirror image of :meth:`earliest_fit`: the
+        walk starts at the last reservation beginning before
+        ``latest_end`` and moves back until a gap holds the slot.
+        """
+        if duration <= 0:
+            raise ValueError(f"duration must be positive, got {duration}")
+        if PERF.enabled:
+            PERF.incr("calendar.latest_fit")
+        end = latest_end
+        if end - duration < earliest:
+            return None
+        reservations = self._reservations
+        for position in range(bisect.bisect_left(self._starts, latest_end)
+                              - 1, -1, -1):
+            reservation = reservations[position]
+            if reservation.end + duration <= end:
+                return end - duration
+            # The slot must end before this reservation begins.
+            end = reservation.start
+            if end - duration < earliest:
+                return None
+        return end - duration
+
     def fit_witnesses(self, duration: int, deadline: int) -> FitWitnesses:
         """This version's interval witnesses for one query shape.
 

@@ -34,17 +34,23 @@ Incremental generation (two orthogonal mechanisms, both exact):
 
 Branch-and-bound (every multi-task chain, hinted or not):
 
-* forward reachability — one exact pass before the search computes,
-  for every task and candidate row, the earliest end over all states
-  the DP can reach (the same monotonicity: a row fits some reachable
-  state iff it fits the smallest data-ready time any state offers it).
-  Rows no state can fit are dropped, and a task with no reachable row
-  proves the chain infeasible before any pricing or search.
+* latest starts — before the search, one exact pass runs backward
+  from the deadline and computes, for every task and candidate row,
+  the latest start from which the rest of the chain still fits through
+  that row (the same monotonicity: a state completes the chain through
+  a row iff its start bound is at most that latest start).  Rows with
+  no latest start are dropped, and a task left without rows proves the
+  chain infeasible before any pricing or search.  The search then
+  checks each row against its latest start instead of the deadline, so
+  it never queries a fit that fails or expands a state with no
+  feasible tail.
 
-* incumbent — a greedy descent (cheapest-first, then earliest-finish)
-  over the reachable rows yields a feasible *incumbent*, which drives
-  pruning of dominated partial chains.  ``hint`` — a warm start, e.g.
-  the adjacent estimation level's allocation — is tried first at every
+* incumbent — a greedy descent (cheapest-first, or earliest-finish for
+  the ``"time"`` objective) over rows that can still complete the
+  chain yields a feasible *incumbent*, which drives pruning of
+  dominated partial chains; the latest starts make the descent
+  complete on every feasible chain.  ``hint`` — a warm start, e.g. the
+  adjacent estimation level's allocation — is tried first at every
   step of that descent, so a hint that still fits seeds the incumbent
   it describes.  Pruning is strict (``lower bound > incumbent``) with
   admissible bounds, and memo entries track whether they are exact or
@@ -148,10 +154,11 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     hint:
         Optional warm start: a ``task id -> node id`` mapping (e.g. the
         adjacent estimation level's allocation) whose rows the
-        incumbent's greedy descent tries first at every step.  Every
-        multi-task chain is pruned against an incumbent either way; a
-        good hint only tightens it.  Results are identical to
-        ``hint=None``; only the expansion count may differ.
+        incumbent's greedy descent tries first at every step, when
+        they can still complete the chain.  Every feasible multi-task
+        chain is pruned against an incumbent either way; a good hint
+        only tightens it.  Results are identical to ``hint=None``;
+        only the expansion count may differ.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which owns the per-job caches this function consults: the
@@ -262,16 +269,20 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # for the whole call — the DP never mutates calendars) so the inner
     # loop touches no dicts to query availability.
     # Row layout: [node, node_id, calendar, duration, floor, ceiling,
-    #             row_cost, fits] — a list, because row_cost is
-    #             filled lazily: start-time-invariant cost models price
-    #             a row once on first touch (or eagerly when warm-start
-    #             pruning needs every row for its lower bounds), so
-    #             rows the DP never visits are never priced.  ``fits``
-    #             is the row's interval-witness bucket of its calendar
-    #             version's store — a (keys, starts) pair of parallel
-    #             sorted lists.  Duration and ceiling are fixed per row,
-    #             so they live in the bucket key once instead of in
-    #             every lookup.
+    #             row_cost, fits, latest] — a list, because three slots
+    #             are filled later.  row_cost is filled lazily:
+    #             start-time-invariant cost models price a row once on
+    #             first touch (or eagerly when pruning needs every row
+    #             for its lower bounds), so rows the DP never visits
+    #             are never priced.  ``fits`` is the row's
+    #             interval-witness bucket of its calendar version's
+    #             store — a (keys, starts) pair of parallel sorted
+    #             lists.  Duration and ceiling are fixed per row, so
+    #             they live in the bucket key once instead of in every
+    #             lookup.  ``latest`` is the row's latest start: the
+    #             largest start bound from which the rest of the chain
+    #             still fits through this row (``ceiling - duration``
+    #             until the latest-start pass below tightens it).
     node_info = [(node, calendars[node.node_id]) for node in nodes]
     uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
     if context is not None and allowed_nodes is None:
@@ -398,7 +409,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # ``find_fit`` on the row's first query: rows the DP prunes
             # away never pay the bucket lookup.
             rows.append([node, node.node_id, calendar, duration, floor,
-                         ceiling, None, None])
+                         ceiling, None, None, ceiling - duration])
         candidates[task_id] = rows
 
     chain_length = len(chain)
@@ -418,55 +429,60 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             uniform_by_index[position] = uniform_lag_fn(
                 incoming_by_index[position])
 
-    # Forward reachability.  The DP's states at chain[i] carry the end
-    # of a feasible placement of chain[i-1] as their data-ready time,
-    # and ``earliest_fit`` is monotone in ``earliest``: a row fits some
-    # reachable state iff it fits the smallest start bound any state
-    # offers it, and no state ends it earlier than that fit.  One pass
-    # therefore computes each row's earliest end over all reachable
-    # states, exactly, with the lags the DP itself applies (lags are
-    # non-negative, so a uniform-lag row's smallest bound is its own
-    # node's earliest end or the overall earliest end plus the lag).
-    # Rows no state can fit are dropped — the DP would skip them in
-    # every state, and the lower bounds below tighten without them —
-    # and a task without a reachable row proves the chain infeasible
-    # before any pricing or search.  A single-task chain's one DP
-    # state is this pass, so it goes straight to the search.
+    # Latest starts.  ``earliest_fit`` is monotone in ``earliest`` and
+    # the DP's earliest start dominates later ones, so a state can
+    # finish chain[i:] through a row exactly when its start bound is at
+    # most that row's latest start (``row[8]``): the latest free start
+    # at or past the row's floor whose slot ends in time for some
+    # surviving row of the next task (lag applied) and by the row's own
+    # ceiling.  One pass from the last task back computes it exactly,
+    # with the lags the DP itself applies (a uniform-lag row ends by the
+    # best next latest start minus the lag, or by its own node's next
+    # latest start, lag-free).  Rows without a latest start are dropped
+    # — no state completes the chain through them — and a task left
+    # without rows proves the chain infeasible before any pricing or
+    # search.  The DP and the greedy incumbent then test each row
+    # against its latest start, so every fit query they make succeeds
+    # and every child state they expand is feasible.  A single-task
+    # chain's one DP state would repeat this pass, so its rows keep
+    # ``ceiling - duration`` and the search checks the fit itself.
     if chain_length > 1:
-        previous_rows: list[list] = []
-        earliest_ends: dict[int, int] = {}
-        for task_id, incoming, uniform in zip(chain, incoming_by_index,
-                                              uniform_by_index):
-            earliest_ready = min(earliest_ends.values(), default=release)
-            reachable = []
-            ends: dict[int, int] = {}
+        next_rows: list[list] = []
+        for index in range(chain_length - 1, -1, -1):
+            task_id = chain[index]
+            outgoing = uniform = None  # the chain's last task
+            if index + 1 < chain_length:
+                outgoing = incoming_by_index[index + 1]
+                uniform = uniform_by_index[index + 1]
+            if uniform is not None:
+                best_latest = max(row[8] for row in next_rows)
+                next_latest = {row[1]: row[8] for row in next_rows}
+            live = []
             for row in candidates[task_id]:
-                if incoming is None:  # the chain's first task
-                    start_bound = release
-                elif uniform is not None:
-                    start_bound = earliest_ready + uniform
-                    colocated = earliest_ends.get(row[1])
-                    if colocated is not None and colocated < start_bound:
-                        start_bound = colocated
-                else:
-                    start_bound = min(
-                        earliest_ends[prev_row[1]]
-                        + transfer_time(incoming, prev_row[0], row[0])
-                        for prev_row in previous_rows)
-                if row[4] > start_bound:
-                    start_bound = row[4]
-                if start_bound + row[3] > row[5]:
+                latest_end = row[5]
+                if uniform is not None:
+                    bound = best_latest - uniform
+                    colocated = next_latest.get(row[1])
+                    if colocated is not None and colocated > bound:
+                        bound = colocated
+                    if bound < latest_end:
+                        latest_end = bound
+                elif outgoing is not None:  # per-pair lags
+                    bound = max(
+                        next_row[8] - transfer_time(outgoing, row[0],
+                                                    next_row[0])
+                        for next_row in next_rows)
+                    if bound < latest_end:
+                        latest_end = bound
+                latest = row[2].latest_fit(row[3], latest_end, row[4])
+                if latest is None:
                     continue
-                start = find_fit(row, start_bound)
-                if start is None:
-                    continue
-                reachable.append(row)
-                ends[row[1]] = start + row[3]
-            if not reachable:
+                row[8] = latest
+                live.append(row)
+            if not live:
                 return None
-            candidates[task_id] = reachable
-            previous_rows = reachable
-            earliest_ends = ends
+            candidates[task_id] = live
+            next_rows = live
 
     # Models declaring a ``price_key`` are pure functions of
     # (volume, duration, node), so their row prices memo across calls
@@ -497,7 +513,24 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         row[6] = row_cost
         return row_cost
 
-    def greedy_incumbent(by_finish: bool = False) -> Optional[float]:
+    def completing_start(row: list, incoming: Optional[DataTransfer],
+                         prev_node: Optional[ProcessorNode],
+                         ready: int) -> Optional[int]:
+        """The row's earliest start after a task that ended at ``ready``
+        on ``prev_node``, or None when the chain cannot be completed
+        through the row from there (the start bound is past the row's
+        latest start)."""
+        if incoming is None or prev_node is None:
+            start_bound = ready
+        else:
+            start_bound = ready + transfer_time(incoming, prev_node, row[0])
+        if row[4] > start_bound:
+            start_bound = row[4]
+        if start_bound > row[8]:
+            return None
+        return find_fit(row, start_bound)
+
+    def greedy_incumbent() -> Optional[float]:
         """Primary value of a hint-preferring greedy descent.
 
         The incumbent of every pruned search.  Each step first re-tries
@@ -505,82 +538,54 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         is followed end to end, and when only some nodes kept their
         slots, only the drifted remainder is re-chosen — and otherwise
         takes the cheapest (cost mode) or earliest-finishing (time
-        mode) feasible row.  This is what makes plan repair
-        incremental: a stale plan with one stolen slot re-derives an
-        incumbent that differs from the hint in exactly the patched
-        tasks.  ``by_finish`` forces the earliest-finish choice even in
-        cost mode — a second descent for deadline-tight chains where
-        cheapest-first painted itself past the ceiling; the returned
-        value is still that chain's exact cost, so it remains a sound
-        upper bound.  No backtracking — a dead end returns None and the
-        search runs unpruned.  Incumbents only prune (exact bounds), so
-        the returned allocation is bit-identical to an unpruned
-        search's; only ``evaluations`` (the surviving state count, and
-        with it the study's ``generation_expense``) shrinks.
+        mode) row that can still complete the chain.  This is what
+        makes plan repair incremental: a stale plan with one stolen
+        slot re-derives an incumbent that differs from the hint in
+        exactly the patched tasks.  Every step checks a row against its
+        latest start, so the descent never dead-ends on a chain the
+        latest-start pass kept: each step leaves some row of the next
+        task feasible.  Incumbents only prune (exact bounds), so the
+        returned allocation is bit-identical to an unpruned search's;
+        only ``evaluations`` (the surviving state count, and with it
+        the study's ``generation_expense``) shrinks.
         """
         prev_node: Optional[ProcessorNode] = None
         ready = release
         total_cost = 0.0
-        finish = release
         for index, task_id in enumerate(chain):
             rows = candidates[task_id]
             incoming = incoming_by_index[index]
+            chosen_row = None
+            chosen_end = 0
             hinted = hint.get(task_id) if hint is not None else None
             if hinted is not None:
                 hinted_row = next((r for r in rows if r[1] == hinted),
                                   None)
                 if hinted_row is not None:
-                    node = hinted_row[0]
-                    duration, floor, ceiling = hinted_row[3:6]
-                    if incoming is None or prev_node is None:
-                        start_bound = ready
-                    else:
-                        start_bound = ready + transfer_time(
-                            incoming, prev_node, node)
-                    if floor > start_bound:
-                        start_bound = floor
-                    if start_bound + duration <= ceiling:
-                        start = find_fit(hinted_row, start_bound)
-                        if start is not None:
-                            if cost_mode:
-                                row_cost = hinted_row[6]
-                                total_cost += (
-                                    row_cost if row_cost is not None
-                                    else price_row(task_id, hinted_row))
-                            prev_node = node
-                            ready = start + duration
-                            finish = ready
-                            continue
-            if cost_mode and not by_finish:
-                # Start-invariant prices: cheapest-first order, first
-                # feasible row wins the step.
-                rows = sorted(rows, key=lambda row: (
-                    row[6] if row[6] is not None
-                    else price_row(task_id, row)))
-            chosen_row = None
-            chosen_end = 0
-            for row in rows:
-                node = row[0]
-                duration, floor, ceiling = row[3], row[4], row[5]
-                if incoming is None or prev_node is None:
-                    start_bound = ready
-                else:
-                    start_bound = ready + transfer_time(incoming,
-                                                        prev_node, node)
-                if floor > start_bound:
-                    start_bound = floor
-                if start_bound + duration > ceiling:
-                    continue
-                start = find_fit(row, start_bound)
-                if start is None:
-                    continue
-                end = start + duration
-                if cost_mode and not by_finish:
-                    chosen_row, chosen_end = row, end
-                    break
-                if chosen_row is None or end < chosen_end:
-                    chosen_row, chosen_end = row, end
+                    start = completing_start(hinted_row, incoming,
+                                             prev_node, ready)
+                    if start is not None:
+                        chosen_row = hinted_row
+                        chosen_end = start + hinted_row[3]
             if chosen_row is None:
+                if cost_mode:
+                    # Start-invariant prices: cheapest-first order, the
+                    # first row that completes the chain wins the step.
+                    rows = sorted(rows, key=lambda row: (
+                        row[6] if row[6] is not None
+                        else price_row(task_id, row)))
+                for row in rows:
+                    start = completing_start(row, incoming, prev_node,
+                                             ready)
+                    if start is None:
+                        continue
+                    end = start + row[3]
+                    if cost_mode:
+                        chosen_row, chosen_end = row, end
+                        break
+                    if chosen_row is None or end < chosen_end:
+                        chosen_row, chosen_end = row, end
+            if chosen_row is None:  # pragma: no cover - defensive
                 return None
             if cost_mode:
                 row_cost = chosen_row[6]
@@ -588,13 +593,12 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                                else price_row(task_id, chosen_row))
             prev_node = chosen_row[0]
             ready = chosen_end
-            finish = chosen_end
-        return total_cost if cost_mode else float(finish)
+        return total_cost if cost_mode else float(ready)
 
     # Branch-and-bound: a greedy descent yields a feasible incumbent,
     # then partial chains whose admissible lower bound is *strictly*
     # worse are pruned.  tail_lb[i] bounds the primary criterion of
-    # chain[i:] from below (per-task minimum over the reachable rows;
+    # chain[i:] from below (per-task minimum over the surviving rows;
     # transfer lags, being non-negative, are soundly dropped).
     pruning = False
     allowance_top = _INFINITY
@@ -624,13 +628,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                     for row, value in zip(rows, priced.tolist()):
                         row[6] = value
         incumbent = greedy_incumbent()
-        if incumbent is None and cost_mode:
-            # Cheapest-first can paint itself past a tight ceiling; an
-            # earliest-finish descent maximizes slack and often still
-            # completes the chain.
-            incumbent = greedy_incumbent(by_finish=True)
-            if incumbent is not None and PERF.enabled:
-                PERF.incr("dp.greedy_incumbents")
         if incumbent is not None:
             pruning = True
             allowance_top = incumbent
@@ -649,7 +646,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 tail_lb[position] = step + tail_lb[position + 1]
             if PERF.enabled:
                 PERF.incr("dp.incumbents_warm")
-        elif PERF.enabled:
+        elif PERF.enabled:  # pragma: no cover - defensive, expected 0
             PERF.incr("dp.incumbents_cold")
 
     evaluations = 0
@@ -700,7 +697,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         best_node = best_start = best_end = None
         for row in candidates[task_id]:
             (node, node_id, calendar, duration, floor, end_bound,
-             row_cost, fits) = row
+             row_cost, fits, latest) = row
             if no_incoming:
                 start_bound = ready
             elif uniform is not None:
@@ -725,7 +722,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 start_bound = ready + lag
             if floor > start_bound:
                 start_bound = floor
-            if start_bound + duration > end_bound:
+            if start_bound > latest:
                 continue
             if pruning:
                 bound = (row_cost + next_lb if cost_mode
@@ -761,6 +758,8 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 keys.insert(position + 1, start_bound)
                 starts.insert(position + 1, start)
             if start is None:
+                # Only a single-task chain's rows can miss: elsewhere
+                # the latest-start check above guarantees the fit.
                 continue
             end = start + duration
             if row_cost is not None:

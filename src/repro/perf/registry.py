@@ -21,6 +21,8 @@ Counter names reported by the kernel
     Boolean availability probes (O(log n) fast path).
 ``calendar.earliest_fit``
     Lazy first-fit searches over free windows.
+``calendar.latest_fit``
+    Backward last-fit searches (the DP's latest-start pass).
 ``calendar.cow_copies``
     What-if snapshots taken via copy-on-write (O(1) each).
 ``calendar.materializations``
@@ -29,22 +31,23 @@ Counter names reported by the kernel
     DP state expansions actually performed.  The paper's
     strategy-generation expense metric (``evaluations``) counts the
     same events; branch-and-bound pruning (tighter with a warm-start
-    hint) removes some of them while the schedules stay bit-identical.
+    hint) and the latest-start pass, which keeps the search off states
+    with no feasible tail, remove some of them while the schedules stay
+    bit-identical.
 ``dp.pruned``
     Candidate transitions discarded by branch-and-bound bounds (work an
     unpruned search would have expanded).
 ``dp.incumbents_warm`` / ``dp.incumbents_cold``
     Multi-task chain searches that found a feasible incumbent to prune
-    with vs. searches that found none (every greedy descent dead-ended,
-    so the search runs unpruned).  Chains the reachability pass proves
-    infeasible, and cost-objective chains under a cost model that is not
-    start-invariant, count in neither.  Deliberately *not* a ``*_hits``/``*_misses``
+    with vs. searches that found none and ran unpruned (defensive;
+    expected 0: the latest-start pass keeps only rows that can complete
+    the chain, so the greedy descent never dead-ends).  Chains the
+    latest-start pass proves infeasible, and cost-objective chains
+    under a cost model that is not start-invariant, count in neither.
+    Deliberately *not* a ``*_hits``/``*_misses``
     pair: the incumbent machinery is not a cache, and the pair suffix is
     reserved for caches owned by the
     :class:`~repro.core.context.SchedulingContext`.
-``dp.greedy_incumbents``
-    Incumbents found only by the earliest-finish descent, after the
-    cheapest-first descent painted itself past a tight ceiling.
 ``dp.transfer_cache_hits`` / ``dp.transfer_cache_misses``
     Per-``(transfer, src, dst)`` transfer-time memoization — the
     context's per-(job, transfer model) lag memo.

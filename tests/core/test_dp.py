@@ -309,14 +309,18 @@ def test_cow_clone_reuses_its_origins_fit_witnesses():
     lambda calendar: calendar.release_prefix("b"),
 ], ids=["reserve", "release", "release_tag", "release_prefix"])
 def test_mutation_starts_fresh_fit_witnesses_untouched_clone_hits(mutation):
+    """The mutated node is node 3, which hosts the whole cheapest
+    allocation, so the search queries its fits whatever it prunes; its
+    own background slot lies past that allocation's finish (18)."""
     job = chain_job()
     pool = make_pool(1.0, 0.5, 1 / 3)
     calendars = _witness_calendars(pool)
+    calendars[3].reserve(20, 22, tag="bg")
     chain = ["A", "B", "C"]
     _fit_counts(job, chain, pool, calendars)
     mutated = {node_id: calendar.copy()
                for node_id, calendar in calendars.items()}
-    mutation(mutated[1])
+    mutation(mutated[3])
     assert _fit_counts(job, chain, pool, mutated)[1] > 0
     hits, misses = _fit_counts(job, chain, pool, calendars)
     assert hits > 0 and misses == 0
@@ -402,8 +406,8 @@ def _dp_counters(*args, **kwargs):
 @pytest.mark.parametrize("loaded", [False, True])
 def test_unreachable_chain_returns_none_before_any_search(loaded, hint):
     """Every task has a candidate row, but no chain of them fits: the
-    forward reachability pass proves it before pricing, the incumbent
-    descent or a single DP expansion."""
+    latest-start pass proves it before pricing, the incumbent descent
+    or a single DP expansion."""
     if loaded:
         pool = make_pool(1.0, 0.5, 1 / 3)
         calendars, deadline = _witness_calendars(pool), 8
@@ -418,7 +422,7 @@ def test_unreachable_chain_returns_none_before_any_search(loaded, hint):
 
 
 def test_row_reachable_only_from_its_own_node_is_kept():
-    """A co-located successor skips the transfer lag: the reachability
+    """A co-located successor skips the transfer lag: the latest-start
     pass must keep the row that fits only that way."""
     job = Job("j", [Task("A", volume=20, best_time=2),
                     Task("B", volume=30, best_time=3)],

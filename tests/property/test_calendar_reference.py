@@ -8,7 +8,7 @@ executable specification.  These tests replay random reservation sets
 through both and require exact agreement.
 """
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.calendar import ReservationCalendar, ReservationConflict
@@ -52,6 +52,14 @@ def earliest_fit_reference(calendar, duration, earliest, deadline):
     return None
 
 
+def latest_fit_reference(calendar, duration, latest_end, earliest):
+    """Every start from the latest down, checked by linear scan."""
+    for start in range(latest_end - duration, earliest - 1, -1):
+        if not conflicts_reference(calendar, start, start + duration):
+            return start
+    return None
+
+
 # ----------------------------------------------------------------------
 # Differential properties
 # ----------------------------------------------------------------------
@@ -81,6 +89,21 @@ def test_earliest_fit_matches_window_scan(specs, duration, earliest,
         deadline = earliest + duration  # keep the query satisfiable-shaped
     assert calendar.earliest_fit(duration, earliest, deadline) == \
         earliest_fit_reference(calendar, duration, earliest, deadline)
+
+
+@given(intervals, st.integers(1, 25), st.integers(0, 400),
+       st.integers(0, 250))
+@example([], 5, 30, 0)                    # empty calendar
+@example([], 5, 10, 6)                    # latest_end - duration < earliest
+@example([(10, 5), (15, 5)], 3, 20, 0)    # back-to-back reservations
+@example([(10, 5), (15, 5)], 3, 20, 8)    # ... and no room before them
+@example([(10, 10)], 3, 15, 0)            # one straddles latest_end
+@example([(10, 10)], 3, 23, 0)            # ... and one ends in its gap
+def test_latest_fit_matches_window_scan(specs, duration, latest_end,
+                                        earliest):
+    calendar = fill_calendar(specs)
+    assert calendar.latest_fit(duration, latest_end, earliest) == \
+        latest_fit_reference(calendar, duration, latest_end, earliest)
 
 
 @given(intervals, st.integers(0, 250), st.integers(1, 30))

@@ -18,14 +18,13 @@ from repro.core.schedule import Placement, check_distribution
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.core.transfers import NeutralTransferModel, transfer_time_fn
 from repro.grid.data import ReplicationModel, default_policy_models
+from repro.perf import PERF
 from repro.workload.generator import generate_job
 
-chain_specs = st.lists(
-    st.tuples(st.integers(1, 4),       # base time
-              st.integers(1, 40),      # volume
-              st.integers(0, 3)),      # outgoing transfer's base time
-    min_size=1, max_size=4,
-)
+task_specs = st.tuples(st.integers(1, 4),       # base time
+                       st.integers(1, 40),      # volume
+                       st.integers(0, 3))       # outgoing transfer's base time
+chain_specs = st.lists(task_specs, min_size=1, max_size=4)
 #: Widest pool drawn: past the dozen-node mark, so whole-pool widths are
 #: checked against the exhaustive reference, not just toy pools.
 MAX_POOL = 14
@@ -175,6 +174,47 @@ def test_dp_matches_brute_force(specs, loaded, deadline, release,
     else:
         assert result is not None
         assert (result.cost, result.finish, result.placements) == expected
+
+
+@given(st.lists(task_specs, min_size=2, max_size=4),
+       loaded_pools(), st.integers(8, 60), st.integers(0, 5),
+       st.sampled_from(sorted(TRANSFER_MODELS)),
+       st.sampled_from(["cost", "time"]),
+       st.dictionaries(st.sampled_from(["T0", "T1", "T2", "T3"]),
+                       st.integers(1, MAX_POOL + 1), min_size=1))
+@settings(max_examples=BRUTE_FORCE_EXAMPLES, deadline=None)
+def test_feasible_chain_search_always_has_an_incumbent(
+        specs, loaded, deadline, release, model_name, objective, junk):
+    """On a feasible multi-task chain under a start-invariant cost
+    model, the greedy descent never dead-ends and the pruned search
+    never falls back to a cold pass — with no hint, with the chain's
+    own allocation as the hint, or with a junk hint — and all three
+    return the same allocation."""
+    pool, calendars = loaded
+    job = build_chain_job(specs, deadline)
+    chain = list(job.tasks)
+    model = TRANSFER_MODELS[model_name]
+    results = []
+    for hint in (None, "good", junk):
+        if hint == "good":
+            if results[0] is None:
+                return
+            hint = {p.task_id: p.node_id for p in results[0].placements}
+        with PERF.collecting() as registry:
+            result = allocate_chain(job, chain, pool, calendars, deadline,
+                                    transfer_model=model, release=release,
+                                    objective=objective, hint=hint)
+            counters = dict(registry.counters)
+        results.append(result)
+        if result is None:
+            return
+        assert counters.get("dp.incumbents_cold", 0) == 0
+        assert counters.get("dp.warm_fallbacks", 0) == 0
+        assert counters["dp.incumbents_warm"] == 1
+    first = results[0]
+    for result in results[1:]:
+        assert (result.cost, result.finish, result.placements) == (
+            first.cost, first.finish, first.placements)
 
 
 @given(st.integers(0, 500))
