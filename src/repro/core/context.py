@@ -17,8 +17,9 @@ die with it:
   clones; see :attr:`~repro.core.calendar.ReservationCalendar.version`)
   for placement state, :meth:`~repro.grid.environment.GridEnvironment.
   epoch_slice` vectors for whole-domain plans, and pure value keys
-  (task, node, level) for durations — so invalidation is never a
-  heuristic: a mutated node simply stops matching its old keys;
+  (level, candidate node set) for the DP's task tables — so
+  invalidation is never a heuristic: a mutated node simply stops
+  matching its old keys;
 * bounded caches evict **per entry, least-recently-used** instead of
   clearing wholesale (the plan-cache thrash fix: a hot key survives a
   flood of unrelated keys);
@@ -26,8 +27,9 @@ die with it:
   labelled task/transfer/deadline content, excluding the job id and
   owner; see :attr:`~repro.core.job.Job.structural_hash`) and scoped
   by the identity of the transfer model (lags differ across strategy
-  families) and the pool (rankings are pool-indexed) —
-  template-derived jobs that share a structure share durations, lags,
+  families), the cost model (prices differ too; models are immutable)
+  and the pool (rankings and task tables are pool-indexed) —
+  template-derived jobs that share a structure share task tables,
   rankings, and path enumerations, and one context stays safe to
   share across families, domains, and a whole online run;
 * the flow layer's plan cache (:class:`PlanCache`) is an LRU of
@@ -55,9 +57,9 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import (TYPE_CHECKING, Any, Dict, Generic, List, Mapping,
-                    Optional, Protocol, Tuple, TypeVar, ValuesView,
-                    runtime_checkable)
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Generic, List,
+                    Mapping, Optional, Protocol, Tuple, TypeVar,
+                    ValuesView, runtime_checkable)
 
 from ..perf import PERF
 from .calendar import GapTable, ReservationCalendar
@@ -65,24 +67,29 @@ from .calendar import GapTable, ReservationCalendar
 if TYPE_CHECKING:  # imports that would be circular at runtime
     from ..flow.metascheduler import Metascheduler  # noqa: F401
     from .critical_works import SchedulingOutcome
-    from .job import Job
-    from .resources import ResourcePool
+    from .job import DataTransfer, Job, Task
+    from .resources import ProcessorNode, ResourcePool
     from .strategy import Strategy, StrategyType
 
 __all__ = ["LruCache", "PlanCache", "SchedulingContext", "Scheduler",
-           "CONTEXT_CACHE_NAMES"]
+           "TaskTable", "CONTEXT_CACHE_NAMES"]
 
 K = TypeVar("K")
 V = TypeVar("V")
 
 #: Gap tables retained (one per live calendar content version).
 DEFAULT_GAP_TABLE_CAPACITY = 8192
-#: Plan entries (structure × family × domain) retained by the flow layer.
-DEFAULT_PLAN_CAPACITY = 4096
+#: Plan entries (structure × family × domain) retained by the flow
+#: layer.  The pinned workloads' working sets are far smaller: the
+#: online lane holds a handful of jobs in flight (3 entries each), the
+#: template crowd 12 entries, a shard context at most 27.
+DEFAULT_PLAN_CAPACITY = 64
 #: Concrete strategy variants retained per plan entry.
 DEFAULT_PLAN_VARIANTS = 8
-#: Distinct job structures whose per-job caches are retained.
-DEFAULT_STRUCT_CAPACITY = 4096
+#: Distinct job structures whose per-job caches are retained: the jobs
+#: in flight (a handful online, 2 templates, one at a time in batch
+#: generation), so a structure's task tables go once it is done.
+DEFAULT_STRUCT_CAPACITY = 64
 
 #: Every cache (or counter pair) the context owns; hit rates are read
 #: through :func:`~repro.perf.registry.derive_cache_stats`.  The orphan
@@ -276,6 +283,51 @@ class PlanCache:
                 f"{self.evictions} evicted>")
 
 
+#: One neighbour edge of a task: (neighbour id, transfer, uniform lag
+#: — None under a transfer model with per-pair lags).
+_Edge = Tuple[str, "DataTransfer", Optional[int]]
+#: A candidate node set: None for the whole pool, else the node ids.
+_NodeSet = Optional[FrozenSet[int]]
+
+
+class TaskTable:
+    """The DP's per-job facts under one (transfer model, cost model, pool).
+
+    Filled by :func:`~repro.core.dp.allocate_chain` and held in the
+    context's struct LRU (:meth:`SchedulingContext.task_table`), so
+    every estimation level, every chain of the job and every template
+    sibling reads one table instead of re-deriving the same durations,
+    prices and edges:
+
+    * ``tasks`` — once per structure: task id -> (task, predecessor
+      edges, successor edges).
+    * ``nodes`` — candidate node set -> (candidate nodes in pool order,
+      their float64 performance vector).
+    * ``rows`` — (level, candidate node set) -> task id -> ``[durations,
+      prices]``, both aligned with the candidate nodes.  Durations come
+      from one ``duration_array`` sweep on first use.  Prices stay
+      ``None`` until a row is first priced (start-invariant cost models
+      only); then the list holds ``None`` for each node not yet priced.
+    * ``lags`` — ``(transfer id, src node id, dst node id) -> lag``,
+      filled only under transfer models without ``uniform_lag``.
+
+    Every value is a pure function of the scope (cost models are
+    immutable) and the key, so sharing a table never changes results.
+    Tables hold no calendars, so they pin no dead calendar version or
+    fit-witness store.
+    """
+
+    __slots__ = ("tasks", "nodes", "rows", "lags")
+
+    def __init__(self) -> None:
+        self.tasks: Dict[str, Tuple["Task", Tuple[_Edge, ...],
+                                    Tuple[_Edge, ...]]] = {}
+        self.nodes: Dict[_NodeSet, Tuple[List["ProcessorNode"], Any]] = {}
+        self.rows: Dict[Tuple[float, _NodeSet],
+                        Dict[str, List[Any]]] = {}
+        self.lags: Dict[Tuple[str, int, int], int] = {}
+
+
 class SchedulingContext:
     """Session state shared by every scheduler touching one environment.
 
@@ -296,23 +348,12 @@ class SchedulingContext:
         self._gap_tables: LruCache[int, GapTable] = LruCache(
             "placement.gap_table", gap_table_capacity)
         #: Per-structure caches, LRU-keyed on the job's structural hash
-        #: so template-derived siblings share durations, lags, rankings
-        #: and path enumerations; the inner mapping is keyed on
+        #: so template-derived siblings share task tables, rankings and
+        #: path enumerations; the inner mapping is keyed on
         #: (kind, *scope tokens).
         self._struct_caches: LruCache[
-            str, Dict[Tuple[object, ...], Dict[Any, Any]]] = LruCache(
+            str, Dict[Tuple[object, ...], Any]] = LruCache(
                 "job.struct_cache", struct_capacity)
-        #: Cross-call row-price memo for cost models declaring a
-        #: ``price_key`` (see :class:`~repro.core.costs.CostModel`):
-        #: ``(price_key, task volume, duration, node id) -> cost``.
-        #: Keys fully determine the value by the models' declaration,
-        #: so entries never go stale; the key space is the workload's
-        #: (volume, duration, node) diversity, which bounds the memo
-        #: naturally.
-        self.price_memo: Dict[Tuple[object, ...], float] = {}
-        #: Per-pool node-performance vectors, by pool identity token
-        #: (see :meth:`pool_performances`).
-        self._pool_arrays: Dict[int, Any] = {}
         #: Identity tokens for scope objects (transfer models, pools):
         #: id -> (token, weak ref).  Tokens are monotonic and never
         #: reused, so an address recycled by the allocator can never
@@ -349,6 +390,14 @@ class SchedulingContext:
         for key in dead:
             del self._tokens[key]
 
+    def _struct_entry(self, job: "Job") -> Dict[Tuple[object, ...], Any]:
+        """The job structure's inner cache mapping (LRU-refreshed)."""
+        per_struct = self._struct_caches.get(job.structural_hash)
+        if per_struct is None:
+            per_struct = {}
+            self._struct_caches[job.structural_hash] = per_struct
+        return per_struct
+
     def job_cache(self, job: "Job", kind: str,
                   *scope: object) -> Dict[Any, Any]:
         """The per-structure cache dict of one kind, scoped by identities.
@@ -356,69 +405,42 @@ class SchedulingContext:
         Caches are keyed on the job's structural hash — the labelled
         task/transfer/deadline content, excluding the job id and owner
         (:attr:`~repro.core.job.Job.structural_hash`) — so every
-        template-derived sibling of one structure shares durations,
-        lags, rankings, and paths.  All of these memos are
-        functions of exactly that content (plus the scoped models), so
-        sharing is exact.  ``scope`` objects (transfer models, pools)
-        are resolved to identity tokens: lags depend on the transfer
-        model, rankings additionally on the pool's node order, so
-        caches of different scopes must never alias.
+        template-derived sibling of one structure shares rankings and
+        paths.  All of these memos are functions of exactly that
+        content (plus the scoped models), so sharing is exact.
+        ``scope`` objects (transfer models, pools) are resolved to
+        identity tokens: rankings depend on the transfer model and the
+        pool's node order, so caches of different scopes must never
+        alias.
         """
-        per_struct = self._struct_caches.get(job.structural_hash)
-        if per_struct is None:
-            per_struct = {}
-            self._struct_caches[job.structural_hash] = per_struct
-        # Key shapes are specialized by arity: this accessor sits on the
-        # DP's per-call path (three lookups per chain allocation), and
-        # the generic tuple-of-tokens build dominated its cost.
-        if not scope:
-            key: Tuple[object, ...] = (kind,)
-        elif len(scope) == 1:
-            key = (kind, self.token(scope[0]))
-        else:
-            key = (kind,) + tuple(self.token(item) for item in scope)
+        per_struct = self._struct_entry(job)
+        key = (kind,) + tuple(self.token(item) for item in scope)
         cache = per_struct.get(key)
         if cache is None:
             cache = {}
             per_struct[key] = cache
         return cache
 
-    def pool_performances(self, pool: "ResourcePool") -> Any:
-        """The pool's node-performance vector (float64, pool order).
-
-        Cached by pool identity token: node performances are immutable
-        and a pool's node order is fixed, so the vector is a constant of
-        the pool — yet the DP was rebuilding it on every chain
-        allocation.
-        """
-        token = self.token(pool)
-        array = self._pool_arrays.get(token)
-        if array is None:
-            import numpy as np
-
-            array = np.fromiter((node.performance for node in pool),
-                                dtype=np.float64, count=len(pool))
-            self._pool_arrays[token] = array
-        return array
-
     # ------------------------------------------------------------------
     # Per-job caches consumed by the DP and the critical-works method
     # ------------------------------------------------------------------
 
-    def transfer_lags(self, job: "Job",
-                      model: object) -> Dict[Tuple[str, int, int], int]:
-        """``(transfer id, src node, dst node) -> lag`` memo.
+    def task_table(self, job: "Job", transfer_model: object,
+                   cost_model: object, pool: object) -> TaskTable:
+        """The DP's :class:`TaskTable` for the job's structure.
 
-        Scoped per transfer model: the strategy families time the same
-        edge differently (replication vs remote access vs static), so a
-        shared context must never serve one family another's lags.
+        Scoped by the identities of the transfer model (lags), the cost
+        model (prices) and the pool (node order, durations): the one
+        context lookup of every chain allocation.
         """
-        return self.job_cache(job, "transfer", model)
-
-    def durations(self, job: "Job"
-                  ) -> Dict[Tuple[str, int, float], int]:
-        """``(task id, node id, level) -> duration`` memo (pure keys)."""
-        return self.job_cache(job, "duration")
+        per_struct = self._struct_entry(job)
+        key = ("table", self.token(transfer_model), self.token(cost_model),
+               self.token(pool))
+        table: Optional[TaskTable] = per_struct.get(key)
+        if table is None:
+            table = TaskTable()
+            per_struct[key] = table
+        return table
 
     def rankings(self, job: "Job", model: object, pool: object
                  ) -> Dict[float, List[Tuple[int, List[str]]]]:

@@ -45,21 +45,18 @@ class CostModel(Protocol):
 
     Time-invariant models may also provide ``task_cost_array(task,
     durations, nodes) -> np.ndarray`` — a vectorized :meth:`task_cost`
-    over per-node reservation lengths.  The DP uses it to price a
-    task's whole candidate row set in one sweep when warm-started
-    pruning needs every row's price; the values must be
+    over per-node reservation lengths.  The DP uses it to price all of
+    a task's candidate nodes in one sweep when pruning needs every
+    row's price; the values must be
     **bit-identical** to elementwise ``task_cost`` (same float
     operations in the same order), because warm-started pruning mixes
     the two.  Models without it are priced through the scalar method.
 
-    Finally, a model may expose ``price_key`` — a hashable value that,
-    together with ``(task.volume, reservation duration, node id)``,
-    fully determines :meth:`task_cost`.  Declaring it lets the DP memo
-    row prices *across* calls in the session context (template-derived
-    siblings re-price the same (volume, duration, node) triples on
-    every replan); the key must change whenever a pricing parameter
-    does, so stateful models expose it as a property over their state.
-    Models without the attribute are priced per call.
+    Models are **immutable**: every pricing parameter is fixed at
+    construction.  The DP keeps each job's row prices in the session
+    context's task table scoped by the model's identity (see
+    :class:`~repro.core.context.TaskTable`), so a model whose prices
+    could change after construction would be served stale prices.
     """
 
     def task_cost(self, task: Task, placement: Placement,
@@ -71,10 +68,12 @@ class CostModel(Protocol):
 class VolumeOverTimeCost:
     """The paper's ``CF`` term: ``ceil(V_i / T_i)``."""
 
+    # Slots make the model immutable; the weak reference lets a
+    # session context scope caches by the model's identity.
+    __slots__ = ("__weakref__",)
+
     #: ``ceil(V_i / T_i)`` reads only the reservation length.
     time_invariant = True
-    #: Stateless: the cost is a pure function of (volume, duration).
-    price_key = ("cf",)
 
     def task_cost(self, task: Task, placement: Placement,
                   node: ProcessorNode) -> float:
@@ -99,6 +98,8 @@ class BalancedTimeCost:
     lands near the paper's 56/44 (see EXPERIMENTS.md).
     """
 
+    __slots__ = ("_cf_weight", "__weakref__")
+
     #: Wall time plus CF — both functions of the duration alone.
     time_invariant = True
 
@@ -106,12 +107,12 @@ class BalancedTimeCost:
         if cf_weight < 0:
             raise ValueError(
                 f"cf_weight must be non-negative, got {cf_weight}")
-        self.cf_weight = cf_weight
+        self._cf_weight = cf_weight
 
     @property
-    def price_key(self) -> tuple:
-        """Cross-call price-memo scope: tracks the live weight."""
-        return ("balanced", self.cf_weight)
+    def cf_weight(self) -> float:
+        """The CF term's weight (read-only: cost models are immutable)."""
+        return self._cf_weight
 
     def task_cost(self, task: Task, placement: Placement,
                   node: ProcessorNode) -> float:

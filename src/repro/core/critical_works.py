@@ -123,21 +123,21 @@ class CriticalWorksScheduler:
         self.monopolize = monopolize
         #: Invariant hook: verify every outcome before returning it.
         self.self_check = self_check
-        #: Session cache layer; see the class docstring.  Everything
-        #: the pre-context scheduler owned privately — rankings,
-        #: transfer lags, durations — now lives
-        #: here, scoped by (job, model, pool) keys so a shared context
-        #: stays exact across schedulers.
+        #: Session cache layer; see the class docstring.  Rankings and
+        #: the DP's task tables (durations, prices, lags) live here,
+        #: scoped by (job, model, pool) keys so a shared context stays
+        #: exact across schedulers.
         self.context = context if context is not None else SchedulingContext()
 
-    def _allowed_nodes(self, job: Job) -> Optional[set[int]]:
+    def _allowed_nodes(self, job: Job) -> Optional[frozenset[int]]:
         if not self.monopolize:
             return None
         # One node above the parallelism degree leaves room to resolve
-        # collisions without leaving the top-performance set.
+        # collisions without leaving the top-performance set.  Frozen,
+        # because the DP keys its task table on the candidate node set.
         width = max(2, job.max_width()) + 1
         ranked = self.pool.sorted_by_performance()
-        return {node.node_id for node in ranked[:width]}
+        return frozenset(node.node_id for node in ranked[:width])
 
     # ------------------------------------------------------------------
 
@@ -271,7 +271,7 @@ class CriticalWorksScheduler:
                  calendars: Mapping[int, ReservationCalendar],
                  deadline: int, level: float, release: int,
                  outcome: SchedulingOutcome,
-                 allowed: Optional[set[int]],
+                 allowed: Optional[frozenset[int]],
                  warm_hint: Optional[Mapping[str, int]],
                  ctx: SchedulingContext
                  ) -> Optional[dict[str, Placement]]:
@@ -337,7 +337,7 @@ class CriticalWorksScheduler:
                        placed: dict[str, Placement],
                        deadline: int, level: float, release: int,
                        outcome: SchedulingOutcome,
-                       allowed: Optional[set[int]],
+                       allowed: Optional[frozenset[int]],
                        warm_hint: Optional[Mapping[str, int]],
                        ctx: SchedulingContext) -> bool:
         """Allocate one run of unassigned tasks; returns False on failure."""

@@ -31,6 +31,14 @@ Incremental generation (two orthogonal mechanisms, both exact):
   other contexts — serve every copy-on-write clone of the version, and
   a mutation starts the node on a fresh store, so invalidation is
   O(nodes touched) and a dead version's witnesses die with it.
+* task table — the per-job facts every call needs (candidate nodes,
+  durations per (level, candidate node set), start-invariant row
+  prices, neighbour edges, per-pair lags) live in one
+  :class:`~repro.core.context.TaskTable` per (job structure, transfer
+  model, cost model, pool) in the session context, so estimation
+  levels, collision re-plans, commit-time replans and template
+  siblings index it instead of re-deriving it.  Tables hold no
+  calendars and leave with their structure's LRU entry.
 
 Branch-and-bound (every multi-task chain, hinted or not):
 
@@ -67,13 +75,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..perf import PERF
 from .calendar import ReservationCalendar
-from .context import SchedulingContext
+from .context import SchedulingContext, TaskTable
 from .costs import CostModel, VolumeOverTimeCost
 from .job import DataTransfer, Job
 from .resources import ProcessorNode, ResourcePool
@@ -84,10 +92,32 @@ __all__ = ["ChainAllocation", "allocate_chain"]
 
 _INFINITY = float("inf")
 
+#: The default models.  Both are immutable, so one shared instance of
+#: each keeps every default-model call on one task table per structure.
+_NEUTRAL_TRANSFER = NeutralTransferModel()
+_CF_COST = VolumeOverTimeCost()
+
 #: Fewest candidate rows for which incumbent pricing fills a task's
 #: row prices in one vectorized sweep; below it the array round-trip
 #: costs more than pricing the few rows on demand.
 _VECTOR_PRICE_MIN_ROWS = 12
+
+
+def _edges(job: Job, neighbours: Sequence[str], task_id: str,
+           uniform_lag_fn: Optional[Callable[[DataTransfer], int]],
+           incoming: bool
+           ) -> tuple[tuple[str, DataTransfer, Optional[int]], ...]:
+    """A task's edges to its predecessors (``incoming``) or successors:
+    (neighbour id, transfer, uniform lag or None)."""
+    edges = []
+    for other in neighbours:
+        transfer = (job.transfer_between(other, task_id) if incoming
+                    else job.transfer_between(task_id, other))
+        if transfer is None:  # pragma: no cover - neighbours have edges
+            continue
+        edges.append((other, transfer, uniform_lag_fn(transfer)
+                      if uniform_lag_fn is not None else None))
+    return tuple(edges)
 
 
 @dataclass
@@ -112,7 +142,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                    cost_model: Optional[CostModel] = None,
                    fixed: Optional[Mapping[str, Placement]] = None,
                    release: int = 0,
-                   allowed_nodes: Optional[set[int]] = None,
+                   allowed_nodes: Optional[AbstractSet[int]] = None,
                    objective: str = "cost",
                    hint: Optional[Mapping[str, int]] = None,
                    context: Optional[SchedulingContext] = None,
@@ -161,12 +191,13 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         only the expansion count may differ.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
-        which owns the per-job caches this function consults: the
-        per-(job, model) transfer-lag memo, the per-job duration memo,
-        the pool performance vector, and the row-price memo.  All
-        exact, so sharing a context across calls, levels, and jobs
-        never changes results — only speed.  ``None`` skips those
-        caches; fit witnesses live on the calendars and serve either
+        which holds the job's :class:`~repro.core.context.TaskTable`
+        under (transfer model, cost model, pool): the candidate nodes
+        and their performances, per-(level, node set) durations and
+        row prices, neighbour edges, and per-pair lags.  All exact, so
+        sharing a context across calls, levels, and jobs never changes
+        results — only speed.  ``None`` fills a private table for the
+        call; fit witnesses live on the calendars and serve either
         way.
 
         .. versionchanged:: PR 5
@@ -176,8 +207,8 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     """
     if not chain:
         return ChainAllocation([], 0.0, release, 0)
-    transfer_model = transfer_model or NeutralTransferModel()
-    cost_model = cost_model or VolumeOverTimeCost()
+    transfer_model = transfer_model or _NEUTRAL_TRANSFER
+    cost_model = cost_model or _CF_COST
     fixed = fixed or {}
     if objective not in ("cost", "time"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -199,25 +230,32 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         if task_id in fixed:
             raise ValueError(f"chain task {task_id!r} is already placed")
 
-    nodes = [node for node in pool
-             if allowed_nodes is None or node.node_id in allowed_nodes]
+    # One context lookup serves every per-job fact this call reads: the
+    # task table (see :class:`~repro.core.context.TaskTable`) scoped by
+    # the job's structure and the transfer model, cost model and pool.
+    # Without a context the call fills a private table.
+    table = (context.task_table(job, transfer_model, cost_model, pool)
+             if context is not None else TaskTable())
+    node_set = None if allowed_nodes is None else frozenset(allowed_nodes)
+    candidate_nodes = table.nodes.get(node_set)
+    if candidate_nodes is None:
+        nodes = [node for node in pool
+                 if node_set is None or node.node_id in node_set]
+        candidate_nodes = (nodes, np.fromiter(
+            (node.performance for node in nodes), dtype=np.float64,
+            count=len(nodes)))
+        table.nodes[node_set] = candidate_nodes
+    nodes, performances = candidate_nodes
     if not nodes:
         return None
-
-    # Every cache below lives in the caller's context, scoped wide
-    # enough to be exact: lags per (job, transfer model), durations per
-    # job (pure value keys).  Without a context the call runs on a
-    # private per-call lag dict (the DP asks for the same lag once per
-    # state expansion).
-    if context is not None:
-        transfer_cache = context.transfer_lags(job, transfer_model)
-        duration_cache = context.durations(job)
-    else:
-        transfer_cache = {}
-        duration_cache = None
+    task_info = table.tasks
+    level_rows = table.rows.setdefault((level, node_set), {})
+    transfer_cache = table.lags
+    uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
 
     def transfer_time(transfer: DataTransfer, src_node: ProcessorNode,
                       dst_node: ProcessorNode) -> int:
+        """A per-pair model's lag through the table's lag memo."""
         key = (transfer.transfer_id, src_node.node_id, dst_node.node_id)
         lag = transfer_cache.get(key)
         if lag is None:
@@ -269,53 +307,51 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # for the whole call — the DP never mutates calendars) so the inner
     # loop touches no dicts to query availability.
     # Row layout: [node, node_id, calendar, duration, floor, ceiling,
-    #             row_cost, fits, latest] — a list, because three slots
-    #             are filled later.  row_cost is filled lazily:
-    #             start-time-invariant cost models price a row once on
-    #             first touch (or eagerly when pruning needs every row
-    #             for its lower bounds), so rows the DP never visits
-    #             are never priced.  ``fits`` is the row's
-    #             interval-witness bucket of its calendar version's
-    #             store — a (keys, starts) pair of parallel sorted
-    #             lists.  Duration and ceiling are fixed per row, so
-    #             they live in the bucket key once instead of in every
-    #             lookup.  ``latest`` is the row's latest start: the
-    #             largest start bound from which the rest of the chain
-    #             still fits through this row (``ceiling - duration``
-    #             until the latest-start pass below tightens it).
+    #             row_cost, fits, latest, position] — a list, because
+    #             three slots are filled later.  row_cost is the task
+    #             table's price for the node when it has one, else
+    #             filled lazily: start-time-invariant cost models price
+    #             a row once on first touch (or a whole task in one
+    #             sweep when pruning needs every row for its lower
+    #             bounds) and write the price back to the table, so
+    #             rows no call ever visits are never priced.  ``fits``
+    #             is the row's interval-witness bucket of its calendar
+    #             version's store — a (keys, starts) pair of parallel
+    #             sorted lists.  Duration and ceiling are fixed per
+    #             row, so they live in the bucket key once instead of
+    #             in every lookup.  ``latest`` is the row's latest
+    #             start: the largest start bound from which the rest of
+    #             the chain still fits through this row (``ceiling -
+    #             duration`` until the latest-start pass below tightens
+    #             it).  ``position`` indexes the node in the table's
+    #             candidate lists.
     node_info = [(node, calendars[node.node_id]) for node in nodes]
-    uniform_lag_fn = getattr(transfer_model, "uniform_lag", None)
-    if context is not None and allowed_nodes is None:
-        # ``nodes`` is the whole pool in pool order — the performance
-        # vector is then a constant of the pool, served from the
-        # session context instead of rebuilt per chain.
-        performances = context.pool_performances(pool)
-    else:
-        performances = np.fromiter((node.performance for node in nodes),
-                                   dtype=np.float64, count=len(nodes))
-    candidates: dict[str, list[tuple]] = {}
+    perf_on = PERF.enabled
+    candidates: dict[str, list[list]] = {}
     for task_id in chain:
-        job_task = job.task(task_id)
+        info = task_info.get(task_id)
+        if info is None:
+            # Once per structure: the task and its neighbour edges, each
+            # with its uniform lag (None under per-pair models).
+            info = (job.task(task_id),
+                    _edges(job, job.predecessors(task_id), task_id,
+                           uniform_lag_fn, incoming=True),
+                    _edges(job, job.successors(task_id), task_id,
+                           uniform_lag_fn, incoming=False))
+            task_info[task_id] = info
+        _, pred_edges, succ_edges = info
         placed_preds = []
-        for pred in job.predecessors(task_id):
+        for pred, transfer, lag in pred_edges:
             placed = fixed.get(pred)
-            if placed is None:
-                continue
-            transfer = job.transfer_between(pred, task_id)
-            if transfer is None:  # pragma: no cover - predecessors have edges
-                continue
-            placed_preds.append(
-                (placed.end, transfer, pool.node(placed.node_id)))
+            if placed is not None:
+                placed_preds.append((placed.end, transfer, lag,
+                                     placed.node_id))
         placed_succs = []
-        for succ in job.successors(task_id):
+        for succ, transfer, lag in succ_edges:
             placed = fixed.get(succ)
-            if placed is None:
-                continue
-            transfer = job.transfer_between(task_id, succ)
-            if transfer is None:  # pragma: no cover - successors have edges
-                continue
-            placed_succs.append(
-                (placed.start, transfer, pool.node(placed.node_id)))
+            if placed is not None:
+                placed_succs.append((placed.start, transfer, lag,
+                                     placed.node_id))
 
         # Uniform-lag models (every built-in policy) make the external
         # bounds node-independent except on the placed neighbours' own
@@ -323,81 +359,64 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         # producer's node, where that producer's lag drops to zero.
         # Precomputing the shared bound (and the handful of neighbour
         # node ids needing the exact loop) turns the per-node work from
-        # |preds| transfer lookups into one dict-free comparison.
-        pred_lags = succ_lags = None
+        # |preds| lag lookups into one comparison.
         if uniform_lag_fn is not None:
-            pred_lags = [(pred_end, uniform_lag_fn(transfer),
-                          src_node.node_id)
-                         for pred_end, transfer, src_node in placed_preds]
             shared_floor = release
-            for pred_end, lag, _ in pred_lags:
-                bound = pred_end + lag
-                if bound > shared_floor:
-                    shared_floor = bound
-            pred_ids = {src_id for _, _, src_id in pred_lags}
-            succ_lags = [(succ_start, uniform_lag_fn(transfer),
-                          dst_node.node_id)
-                         for succ_start, transfer, dst_node in placed_succs]
+            for pred_end, _, lag, _ in placed_preds:
+                if pred_end + lag > shared_floor:
+                    shared_floor = pred_end + lag
+            pred_ids = {src_id for _, _, _, src_id in placed_preds}
             shared_ceiling = deadline
-            for succ_start, lag, _ in succ_lags:
-                bound = succ_start - lag
-                if bound < shared_ceiling:
-                    shared_ceiling = bound
-            succ_ids = {dst_id for _, _, dst_id in succ_lags}
+            for succ_start, _, lag, _ in placed_succs:
+                if succ_start - lag < shared_ceiling:
+                    shared_ceiling = succ_start - lag
+            succ_ids = {dst_id for _, _, _, dst_id in placed_succs}
 
-        # Durations are computed for all nodes in one vectorized sweep
-        # the first time a (task, level) misses the shared cache —
-        # online flows see every job cold, so misses arrive in whole
-        # per-task batches.  ``duration_array`` runs the same float ops
-        # as ``duration_on``, so cached and fresh values agree exactly.
-        task_durations: Optional[list[int]] = None
+        # Durations for every candidate node come from one vectorized
+        # sweep the first time a (task, level, node set) misses the
+        # table — online flows see every job cold, so misses arrive in
+        # whole per-task batches.  ``duration_array`` runs the same
+        # float ops as ``duration_on``, so the values agree exactly.
+        entry = level_rows.get(task_id)
+        if entry is None:
+            if perf_on:
+                PERF.incr("dp.duration_cache_misses")
+            entry = [info[0].duration_array(performances, level).tolist(),
+                     None]
+            level_rows[task_id] = entry
+        elif perf_on:
+            PERF.incr("dp.duration_cache_hits")
+        durations, prices = entry
         rows = []
         for position, (node, calendar) in enumerate(node_info):
-            if duration_cache is None:
-                if task_durations is None:
-                    task_durations = job_task.duration_array(
-                        performances, level).tolist()
-                duration = task_durations[position]
-            else:
-                dur_key = (task_id, node.node_id, level)
-                duration = duration_cache.get(dur_key)
-                if duration is None:
-                    if PERF.enabled:
-                        PERF.incr("dp.duration_cache_misses")
-                    if task_durations is None:
-                        task_durations = job_task.duration_array(
-                            performances, level).tolist()
-                    duration = task_durations[position]
-                    duration_cache[dur_key] = duration
-                elif PERF.enabled:
-                    PERF.incr("dp.duration_cache_hits")
-            if pred_lags is None:
+            duration = durations[position]
+            node_id = node.node_id
+            if uniform_lag_fn is None:
                 floor = release
-                for pred_end, transfer, src_node in placed_preds:
-                    bound = pred_end + transfer_time(transfer, src_node,
-                                                     node)
+                for pred_end, transfer, _, src_id in placed_preds:
+                    bound = pred_end + transfer_time(
+                        transfer, pool.node(src_id), node)
                     if bound > floor:
                         floor = bound
-            elif node.node_id in pred_ids:
+            elif node_id in pred_ids:
                 floor = release
-                for pred_end, lag, src_id in pred_lags:
-                    bound = (pred_end if src_id == node.node_id
-                             else pred_end + lag)
+                for pred_end, _, lag, src_id in placed_preds:
+                    bound = pred_end if src_id == node_id else pred_end + lag
                     if bound > floor:
                         floor = bound
             else:
                 floor = shared_floor
-            if succ_lags is None:
+            if uniform_lag_fn is None:
                 ceiling = deadline
-                for succ_start, transfer, dst_node in placed_succs:
-                    bound = succ_start - transfer_time(transfer, node,
-                                                       dst_node)
+                for succ_start, transfer, _, dst_id in placed_succs:
+                    bound = succ_start - transfer_time(
+                        transfer, node, pool.node(dst_id))
                     if bound < ceiling:
                         ceiling = bound
-            elif node.node_id in succ_ids:
+            elif node_id in succ_ids:
                 ceiling = deadline
-                for succ_start, lag, dst_id in succ_lags:
-                    bound = (succ_start if dst_id == node.node_id
+                for succ_start, _, lag, dst_id in placed_succs:
+                    bound = (succ_start if dst_id == node_id
                              else succ_start - lag)
                     if bound < ceiling:
                         ceiling = bound
@@ -408,26 +427,27 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # The fit-witness bucket (row[7]) is attached lazily by
             # ``find_fit`` on the row's first query: rows the DP prunes
             # away never pay the bucket lookup.
-            rows.append([node, node.node_id, calendar, duration, floor,
-                         ceiling, None, None, ceiling - duration])
+            rows.append([node, node_id, calendar, duration, floor, ceiling,
+                         None if prices is None else prices[position],
+                         None, ceiling - duration, position])
         candidates[task_id] = rows
 
     chain_length = len(chain)
     # Per-position constants, hoisted so each state expansion touches
-    # lists instead of re-querying the job graph.
+    # lists instead of re-querying the job graph.  Uniform-lag models
+    # collapse each edge's lag to one constant (zero co-located): the
+    # inner loops then compare node ids instead of consulting the lag
+    # memo at all.
+    tasks_by_index = [task_info[task_id][0] for task_id in chain]
     incoming_by_index: list[Optional[DataTransfer]] = [None] * chain_length
-    for position in range(1, chain_length):
-        incoming_by_index[position] = job.transfer_between(
-            chain[position - 1], chain[position])
-    tasks_by_index = [job.task(task_id) for task_id in chain]
-    # Uniform-lag models collapse each edge's lag to one constant (zero
-    # co-located): the scalar inner loop then compares node ids instead
-    # of consulting the transfer cache at all.
     uniform_by_index: list[Optional[int]] = [None] * chain_length
-    if uniform_lag_fn is not None:
-        for position in range(1, chain_length):
-            uniform_by_index[position] = uniform_lag_fn(
-                incoming_by_index[position])
+    for position in range(1, chain_length):
+        previous = chain[position - 1]
+        for pred, transfer, lag in task_info[chain[position]][1]:
+            if pred == previous:
+                incoming_by_index[position] = transfer
+                uniform_by_index[position] = lag
+                break
 
     # Latest starts.  ``earliest_fit`` is monotone in ``earliest`` and
     # the DP's earliest start dominates later ones, so a state can
@@ -484,44 +504,34 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             candidates[task_id] = live
             next_rows = live
 
-    # Models declaring a ``price_key`` are pure functions of
-    # (volume, duration, node), so their row prices memo across calls
-    # in the session context — template siblings re-price the same
-    # triples on every replan otherwise.
-    price_key = getattr(cost_model, "price_key", None)
-    price_memo = (context.price_memo
-                  if context is not None and price_key is not None
-                  else None)
-
-    def price_row(task_id: str, row: list) -> float:
-        """The row's (start-invariant) cost, cached on the row."""
-        if price_memo is not None:
-            memo_key = (price_key, job.task(task_id).volume, row[3],
-                        row[1])
-            row_cost = price_memo.get(memo_key)
-            if row_cost is None:
-                row_cost = cost_model.task_cost(
-                    job.task(task_id),
-                    Placement(task_id, row[1], row[4], row[4] + row[3]),
-                    row[0])
-                price_memo[memo_key] = row_cost
-        else:
-            row_cost = cost_model.task_cost(
-                job.task(task_id),
-                Placement(task_id, row[1], row[4], row[4] + row[3]),
-                row[0])
+    def price_row(index: int, row: list) -> float:
+        """The row's (start-invariant) cost, written back to the row and
+        to the task table."""
+        task_id = chain[index]
+        row_cost = cost_model.task_cost(
+            tasks_by_index[index],
+            Placement(task_id, row[1], row[4], row[4] + row[3]), row[0])
+        entry = level_rows[task_id]
+        if entry[1] is None:
+            entry[1] = [None] * len(nodes)
+        entry[1][row[9]] = row_cost
         row[6] = row_cost
         return row_cost
 
-    def completing_start(row: list, incoming: Optional[DataTransfer],
+    def completing_start(row: list, index: int,
                          prev_node: Optional[ProcessorNode],
                          ready: int) -> Optional[int]:
-        """The row's earliest start after a task that ended at ``ready``
-        on ``prev_node``, or None when the chain cannot be completed
-        through the row from there (the start bound is past the row's
-        latest start)."""
+        """The row's earliest start after chain[index - 1] ended at
+        ``ready`` on ``prev_node``, or None when the chain cannot be
+        completed through the row from there (the start bound is past
+        the row's latest start)."""
+        incoming = incoming_by_index[index]
+        uniform = uniform_by_index[index]
         if incoming is None or prev_node is None:
             start_bound = ready
+        elif uniform is not None:
+            start_bound = (ready if prev_node.node_id == row[1]
+                           else ready + uniform)
         else:
             start_bound = ready + transfer_time(incoming, prev_node, row[0])
         if row[4] > start_bound:
@@ -554,7 +564,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         total_cost = 0.0
         for index, task_id in enumerate(chain):
             rows = candidates[task_id]
-            incoming = incoming_by_index[index]
             chosen_row = None
             chosen_end = 0
             hinted = hint.get(task_id) if hint is not None else None
@@ -562,7 +571,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                 hinted_row = next((r for r in rows if r[1] == hinted),
                                   None)
                 if hinted_row is not None:
-                    start = completing_start(hinted_row, incoming,
+                    start = completing_start(hinted_row, index,
                                              prev_node, ready)
                     if start is not None:
                         chosen_row = hinted_row
@@ -573,10 +582,9 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                     # first row that completes the chain wins the step.
                     rows = sorted(rows, key=lambda row: (
                         row[6] if row[6] is not None
-                        else price_row(task_id, row)))
+                        else price_row(index, row)))
                 for row in rows:
-                    start = completing_start(row, incoming, prev_node,
-                                             ready)
+                    start = completing_start(row, index, prev_node, ready)
                     if start is None:
                         continue
                     end = start + row[3]
@@ -590,7 +598,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if cost_mode:
                 row_cost = chosen_row[6]
                 total_cost += (row_cost if row_cost is not None
-                               else price_row(task_id, chosen_row))
+                               else price_row(index, chosen_row))
             prev_node = chosen_row[0]
             ready = chosen_end
         return total_cost if cost_mode else float(ready)
@@ -609,37 +617,40 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     if chain_length > 1 and (invariant_cost or not cost_mode):
         if cost_mode:
             # The incumbent and lower bounds below touch every row's
-            # price; models with a vectorized pricer fill them in one
-            # sweep per task instead of one Placement-building call per
-            # row (tolist() round-trips float64 exactly, so the values
-            # match price_row bit for bit).
+            # price; models with a vectorized pricer fill a task's whole
+            # price list in the table in one sweep instead of one
+            # Placement-building call per row (tolist() round-trips
+            # float64 exactly, so the values match price_row bit for
+            # bit), once per (task, level, node set).
             cost_array_fn = getattr(cost_model, "task_cost_array", None)
             if cost_array_fn is not None:
-                for task_id in chain:
+                for index, task_id in enumerate(chain):
                     rows = candidates[task_id]
                     if len(rows) < _VECTOR_PRICE_MIN_ROWS:
                         # ``price_row`` fills the few rows on demand.
                         continue
-                    priced = cost_array_fn(
-                        job.task(task_id),
-                        np.fromiter((row[3] for row in rows),
-                                    dtype=np.int64, count=len(rows)),
-                        [row[0] for row in rows])
-                    for row, value in zip(rows, priced.tolist()):
-                        row[6] = value
+                    entry = level_rows[task_id]
+                    prices = entry[1]
+                    if prices is None or None in prices:
+                        prices = cost_array_fn(
+                            tasks_by_index[index],
+                            np.array(entry[0], dtype=np.int64),
+                            nodes).tolist()
+                        entry[1] = prices
+                    for row in rows:
+                        row[6] = prices[row[9]]
         incumbent = greedy_incumbent()
         if incumbent is not None:
             pruning = True
             allowance_top = incumbent
             tail_lb = [0.0] * (chain_length + 1)
             for position in range(chain_length - 1, -1, -1):
-                step_task = chain[position]
-                rows = candidates[step_task]
+                rows = candidates[chain[position]]
                 if cost_mode:
                     # The lower bound needs every row priced (min over
                     # the task's candidates).
                     step = min((r[6] if r[6] is not None
-                                else price_row(step_task, r)
+                                else price_row(position, r)
                                 for r in rows), default=_INFINITY)
                 else:
                     step = min((r[3] for r in rows), default=_INFINITY)
@@ -697,7 +708,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         best_node = best_start = best_end = None
         for row in candidates[task_id]:
             (node, node_id, calendar, duration, floor, end_bound,
-             row_cost, fits, latest) = row
+             row_cost, fits, latest, _) = row
             if no_incoming:
                 start_bound = ready
             elif uniform is not None:
@@ -765,7 +776,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             if row_cost is not None:
                 own_cost = row_cost
             elif invariant_cost:
-                own_cost = price_row(task_id, row)
+                own_cost = price_row(index, row)
             else:
                 own_cost = cost_model.task_cost(
                     tasks_by_index[index],

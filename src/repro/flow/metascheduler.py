@@ -184,12 +184,15 @@ class Metascheduler:
         """Phase one of dispatch: plan on every domain, pick the cheapest.
 
         Plans against ``calendars`` (the sharded lane's window snapshot)
-        or a fresh snapshot of the grid, through the plan cache
-        (:meth:`ShardPlanner.plan`).  Nothing is booked; commit the
-        result later with :meth:`commit_planned` or :meth:`commit`.
+        or the grid's live calendars, through the plan cache
+        (:meth:`ShardPlanner.plan`).  Planning never mutates its input —
+        each critical-works pass books onto its own copy-on-write
+        copies — so the live calendars need no snapshot.  Nothing is
+        booked; commit the result later with :meth:`commit_planned` or
+        :meth:`commit`.
         """
         if calendars is None:
-            calendars = self.grid.snapshot()
+            calendars = self.grid.calendars
         offer = self.planner.plan(job, stype, release, calendars)
         if offer is None:
             return PlannedDispatch(job, stype, release, None, None)

@@ -49,8 +49,10 @@ Counter names reported by the kernel
     reserved for caches owned by the
     :class:`~repro.core.context.SchedulingContext`.
 ``dp.transfer_cache_hits`` / ``dp.transfer_cache_misses``
-    Per-``(transfer, src, dst)`` transfer-time memoization — the
-    context's per-(job, transfer model) lag memo.
+    Per-``(transfer, src, dst)`` transfer-time memoization in the task
+    table's lag memo.  Only transfer models without ``uniform_lag``
+    read it; every built-in model declares a uniform lag, so runs on
+    them count neither.
 ``dp.fit_cache_hits`` / ``dp.fit_cache_misses``
     Interval-witness ``earliest_fit`` answers served from (or added
     to) the queried calendar content version's witness store, shared
@@ -58,7 +60,10 @@ Counter names reported by the kernel
     provably unchanged since the answer was computed.  The store is
     freed with its version, so there is no eviction counter.
 ``dp.duration_cache_hits`` / ``dp.duration_cache_misses``
-    The context's per-job (task, node, level) duration memo.
+    The DP's task table (:class:`~repro.core.context.TaskTable`): one
+    count per chain task and call, a hit when the task's durations at
+    this (level, candidate node set) were already in the table, a miss
+    when one vectorized sweep filled them.
 ``dp.warm_fallbacks``
     Warm runs that fell back to a cold pass (defensive; expected 0).
 ``placement.gap_table_hits`` / ``placement.gap_table_misses``

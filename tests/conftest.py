@@ -49,11 +49,12 @@ from repro.flow.metascheduler import Metascheduler
 from repro.flow.simulation import OnlineSimulation
 
 #: ``pytest --hypothesis-profile dp-deep`` runs the exhaustive DP
-#: reference check and the skip-edge check of
-#: tests/property/test_dp_properties.py at ten times their default
-#: examples (600 instead of 60, and 400 instead of 40 per family; both
-#: scale with the profile), and the ``latest_fit`` reference check of
-#: tests/property/test_calendar_reference.py at 1000 instead of 100.
+#: reference check, the warm-context equivalence check and the
+#: skip-edge check of tests/property/test_dp_properties.py at ten
+#: times their default examples (600 instead of 60, and 400 instead of
+#: 40 per family; all scale with the profile), and the ``latest_fit``
+#: reference check of tests/property/test_calendar_reference.py at
+#: 1000 instead of 100.
 #: Nothing loads it by default.
 settings.register_profile("dp-deep", max_examples=1000)
 

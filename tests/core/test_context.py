@@ -16,6 +16,7 @@ from repro.core.context import (
     Scheduler,
     SchedulingContext,
 )
+from repro.core.costs import VolumeOverTimeCost
 from repro.core.critical_works import CriticalWorksScheduler
 from repro.core.job import Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
@@ -189,12 +190,15 @@ def test_token_pruning_drops_dead_entries():
 
 def test_job_caches_are_scoped_by_model_identity():
     context = SchedulingContext()
-    job = fig2_job()
+    job, pool, cost = fig2_job(), fig2_pool(), VolumeOverTimeCost()
     neutral, replication = NeutralTransferModel(), ReplicationModel()
-    lags_a = context.transfer_lags(job, neutral)
-    lags_b = context.transfer_lags(job, replication)
-    assert lags_a is not lags_b
-    assert context.transfer_lags(job, neutral) is lags_a
+    table_a = context.task_table(job, neutral, cost, pool)
+    table_b = context.task_table(job, replication, cost, pool)
+    assert table_a is not table_b
+    assert context.task_table(job, neutral, cost, pool) is table_a
+    # Prices are scoped by the cost model's identity too.
+    assert context.task_table(job, neutral, VolumeOverTimeCost(),
+                              pool) is not table_a
 
 
 def test_job_caches_are_scoped_by_pool_identity():
@@ -209,11 +213,14 @@ def test_job_caches_shared_across_structural_siblings():
     """Per-structure caches key on content, so a template sibling
     (same tasks/transfers/deadline, different id) shares them."""
     context = SchedulingContext()
-    job = fig2_job()
-    context.durations(job)[("T", 1, 0.0)] = 7
+    job, pool = fig2_job(), fig2_pool()
+    model, cost = NeutralTransferModel(), VolumeOverTimeCost()
+    context.task_table(job, model, cost, pool).rows[(0.0, None)] = {
+        "T": [[7], None]}
     sibling = Job("sibling", job.tasks.values(), job.transfers,
                   deadline=job.deadline)
-    assert context.durations(sibling)[("T", 1, 0.0)] == 7
+    table = context.task_table(sibling, model, cost, pool)
+    assert table.rows[(0.0, None)]["T"][0] == [7]
     assert len(context._struct_caches) == 1
 
 
@@ -221,12 +228,15 @@ def test_job_caches_evict_least_recent_structure():
     """The per-structure tier is LRU-bounded, not tied to object
     lifetime: flooding with fresh structures retires the oldest."""
     context = SchedulingContext(struct_capacity=2)
+    pool = fig2_pool()
+    model, cost = NeutralTransferModel(), VolumeOverTimeCost()
     stale = _simple_job("stale")
-    context.durations(stale)[("A", 1, 0.0)] = 3
+    context.task_table(stale, model, cost, pool).rows[(0.0, None)] = {
+        "A": [[3], None]}
     for name in ("x", "y"):
-        context.durations(_simple_job(name))
+        context.task_table(_simple_job(name), model, cost, pool)
     assert context._struct_caches.get(stale.structural_hash) is None
-    assert context.durations(stale).get(("A", 1, 0.0)) is None
+    assert context.task_table(stale, model, cost, pool).rows == {}
 
 
 def test_job_paths_memoized_per_limit():

@@ -1,6 +1,9 @@
 """Unit tests for the CF cost function and cost models."""
 
-from repro.core.costs import VolumeOverTimeCost, distribution_cost
+import pytest
+
+from repro.core.costs import (BalancedTimeCost, VolumeOverTimeCost,
+                              distribution_cost)
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Distribution, Placement
@@ -51,3 +54,14 @@ def test_distribution_cost_sums_task_costs():
         Placement("P2", 1, 3, 6),   # 30/3 = 10
     ])
     assert distribution_cost(dist, job, pool()) == 20
+
+
+def test_cost_models_are_immutable():
+    """The DP scopes cached row prices by the cost model's identity,
+    so no pricing parameter may change after construction."""
+    balanced = BalancedTimeCost(1.5)
+    with pytest.raises(AttributeError):
+        balanced.cf_weight = 3.0
+    assert balanced.cf_weight == 1.5
+    with pytest.raises(AttributeError):
+        VolumeOverTimeCost().scale = 2.0

@@ -10,6 +10,7 @@ from repro.core.dp import allocate_chain
 from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.core.schedule import Placement
+from repro.core.transfers import NeutralTransferModel
 
 
 def make_pool(*performances):
@@ -223,7 +224,7 @@ def test_evaluations_counter_positive():
 
 
 def test_context_caches_do_not_change_results():
-    """The context's duration and transfer-lag memos are pure
+    """The context's task table (durations, prices, edges) is pure
     memoization: results must equal the cacheless run's exactly."""
     from repro.core.context import SchedulingContext
 
@@ -233,19 +234,24 @@ def test_context_caches_do_not_change_results():
     calendars = empty_calendars(pool)
     calendars[1].reserve(0, 3, tag="bg")
     calendars[2].reserve(4, 6, tag="bg")
+    model, cost = NeutralTransferModel(), VolumeOverTimeCost()
 
-    plain = allocate_chain(job, chain, pool, calendars, 25)
+    plain = allocate_chain(job, chain, pool, calendars, 25,
+                           transfer_model=model, cost_model=cost)
     context = SchedulingContext()
     cached = allocate_chain(job, chain, pool, calendars, 25,
+                            transfer_model=model, cost_model=cost,
                             context=context)
     assert plain is not None and cached is not None
     assert cached.placements == plain.placements
     assert cached.cost == plain.cost
     assert cached.evaluations == plain.evaluations
-    assert context.durations(job)  # the run actually populated it
+    # The run actually populated the table.
+    assert context.task_table(job, model, cost, pool).rows[(0.0, None)]
 
     # A second run through the same context reuses entries and agrees.
     again = allocate_chain(job, chain, pool, calendars, 25,
+                           transfer_model=model, cost_model=cost,
                            context=context)
     assert again.placements == plain.placements
     assert again.cost == plain.cost

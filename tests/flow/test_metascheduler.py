@@ -1,6 +1,7 @@
 """Unit tests for the metascheduler, job managers, and the VO façade."""
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -393,31 +394,33 @@ def test_sibling_hit_and_commit_leave_the_plan_cache_untouched():
                           for placement in record.chosen.distribution)
 
 
-def conflict_once_grid():
-    """A grid whose ``can_commit`` refuses every variant during the
-    first planning pass only — the commit-time conflict scenario.
+def conflict_once_scheduler(conflict_retries):
+    """A metascheduler whose grid's ``can_commit`` refuses every variant
+    during the first planning pass only — the commit-time conflict
+    scenario.
 
-    Planning passes are detected by counting ``snapshot`` calls (each
-    ``plan_job`` pass takes exactly one, whether its plans hit the
-    cache or not), so the gate opens exactly when a retry re-plans.
+    Planning passes are detected by counting ``plan_job`` calls (each
+    pass makes exactly one, whether its plans hit the cache or not), so
+    the gate opens exactly when a retry re-plans.
     """
     grid = GridEnvironment(two_domain_pool())
+    scheduler = Metascheduler(grid, conflict_retries=conflict_retries)
     true_can_commit = grid.can_commit
-    true_snapshot = grid.snapshot
+    true_plan_job = scheduler.plan_job
     calls = {"passes": 0}
 
-    def counting_snapshot():
+    def counting_plan_job(*args, **kwargs):
         calls["passes"] += 1
-        return true_snapshot()
+        return true_plan_job(*args, **kwargs)
 
     def gated_can_commit(distribution):
         if calls["passes"] <= 1:
             return False  # still the first pass: steal everything
         return true_can_commit(distribution)
 
-    grid.snapshot = counting_snapshot
+    scheduler.plan_job = counting_plan_job
     grid.can_commit = gated_can_commit
-    return grid
+    return scheduler
 
 
 def strategy_snapshot(strategy):
@@ -489,7 +492,7 @@ def test_repaired_plan_is_bit_identical_to_cold_replan(deadline, stype,
 
 
 def test_commit_conflict_rejects_without_retries():
-    scheduler = Metascheduler(conflict_once_grid(), conflict_retries=0)
+    scheduler = conflict_once_scheduler(0)
     scheduler.submit(simple_job(), StrategyType.S1)
     record = scheduler.dispatch()[0]
     assert not record.committed
@@ -502,7 +505,7 @@ def test_conflict_retry_replans_and_commits():
     unchanged epochs the retry is served entirely from the plan cache."""
     from repro.perf import PERF
 
-    scheduler = Metascheduler(conflict_once_grid(), conflict_retries=1)
+    scheduler = conflict_once_scheduler(1)
     scheduler.submit(simple_job(), StrategyType.S1)
     with PERF.collecting() as registry:
         record = scheduler.dispatch()[0]
@@ -518,7 +521,7 @@ def test_conflict_retry_replans_and_commits():
 def test_conflict_record_counts_every_attempt(retries):
     """A record sums reallocations over the first commit attempt and
     every replan, and counts the replans, on every exit."""
-    scheduler = Metascheduler(conflict_once_grid(), conflict_retries=retries)
+    scheduler = conflict_once_scheduler(retries)
     planned = scheduler.plan_job(simple_job(), StrategyType.S1, release=0)
     stolen = len(planned.strategy.admissible_schedules())
     assert stolen >= 1
@@ -528,3 +531,81 @@ def test_conflict_record_counts_every_attempt(retries):
     # Every variant of the first plan was stolen; the replan's cheapest
     # variant fits.
     assert record.reallocations == stolen
+
+
+# ----------------------------------------------------------------------
+# Planning input and bounded retention
+# ----------------------------------------------------------------------
+
+def _online_offers_and_digest(monkeypatch, snapshot):
+    """A seeded online run: every ``plan_job`` offer, plus a content
+    hash of the final calendars and of every outcome."""
+    from repro.flow.simulation import OnlineConfig, OnlineSimulation
+    from repro.sim import RandomStreams
+    from repro.workload import generate_pool
+
+    offers = []
+    original = Metascheduler.plan_job
+
+    def plan_job(self, job, stype, release, calendars=None):
+        if snapshot and calendars is None:
+            calendars = self.grid.snapshot()
+        planned = original(self, job, stype, release, calendars)
+        schedules = () if planned.strategy is None else tuple(
+            (s.level, s.outcome.cost,
+             tuple(s.distribution) if s.distribution is not None else None)
+            for s in planned.strategy.schedules)
+        offers.append((job.job_id, stype, release,
+                       getattr(planned.manager, "domain", None), schedules))
+        return planned
+
+    config = OnlineConfig(horizon=200, mean_interarrival=6.0,
+                          busy_fraction=0.3, conflict_retries=1,
+                          plan_latency=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(Metascheduler, "plan_job", plan_job)
+        sim = OnlineSimulation(
+            generate_pool(RandomStreams(5).stream("pool")), seed=5,
+            config=config)
+        outcomes = sim.run()
+    hasher = hashlib.sha256()
+    for node_id in sorted(sim.grid.calendars):
+        for r in sim.grid.calendars[node_id].reservations:
+            hasher.update(f"{node_id}:{r.start},{r.end},{r.tag}".encode())
+    for o in outcomes:
+        hasher.update(repr((o.job_id, o.submitted, o.committed, o.reason,
+                            o.planned_makespan, o.actual_makespan,
+                            o.met_deadline, o.charge)).encode())
+    return offers, len(outcomes), hasher.hexdigest()
+
+
+def test_plan_job_on_live_calendars_matches_snapshot_planning(monkeypatch):
+    """Planning never mutates its input, so ``plan_job`` plans on the
+    grid's live calendars: a seeded online run — commit-time replans
+    included — gets the same offers and the same outcome digest as
+    planning on a fresh snapshot per call."""
+    live = _online_offers_and_digest(monkeypatch, snapshot=False)
+    snapped = _online_offers_and_digest(monkeypatch, snapshot=True)
+    offers, arrivals, _ = live
+    assert len(offers) > arrivals  # some commits replanned
+    assert live == snapped
+
+
+def test_context_retention_is_bounded():
+    """Planning a stream of unique jobs keeps at most the default
+    capacity of job structures and plan entries, and no price memo."""
+    from repro.core.context import (DEFAULT_PLAN_CAPACITY,
+                                    DEFAULT_STRUCT_CAPACITY)
+    from repro.workload.generator import generate_job, generate_pool
+
+    rng = np.random.default_rng(11)
+    metascheduler = Metascheduler(GridEnvironment(generate_pool(rng)))
+    for index in range(200):
+        metascheduler.plan_job(generate_job(rng, index), StrategyType.S1, 0)
+    context = metascheduler.context
+    assert DEFAULT_STRUCT_CAPACITY == DEFAULT_PLAN_CAPACITY == 64
+    assert len(context._struct_caches) <= 64
+    assert context._struct_caches.evictions > 0
+    assert len(context.plans._entries) <= 64
+    assert context.plans._entries.evictions > 0
+    assert not hasattr(context, "price_memo")

@@ -18,6 +18,7 @@ import numpy as np
 import repro.perf.registry as registry_module
 from repro.core.calendar import ReservationCalendar
 from repro.core.context import CONTEXT_CACHE_NAMES
+from repro.core.critical_works import CriticalWorksScheduler
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.flow.metascheduler import Metascheduler
 from repro.grid.environment import GridEnvironment
@@ -25,6 +26,20 @@ from repro.perf import PERF, derive_cache_stats
 from repro.workload.generator import generate_job, generate_pool
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+class PairwiseLagModel:
+    """A transfer model without ``uniform_lag``: its lags vary by node
+    pair, so the DP memoizes them per (transfer, src, dst)."""
+
+    def time(self, transfer, src_node, dst_node):
+        if src_node.node_id == dst_node.node_id:
+            return 0
+        return transfer.base_time * (1 + (src_node.node_id
+                                           + dst_node.node_id) % 2)
+
+    def estimate(self, transfer):
+        return transfer.base_time
 
 #: Literal hit/miss counter emissions: ``PERF.incr("<name>_hits")``.
 _EMIT_PATTERN = re.compile(
@@ -77,6 +92,11 @@ def test_live_run_derives_no_dead_pairs():
         # miss, then one hit.
         generator.context.gap_table(calendars[pool.nodes[0].node_id])
         generator.context.gap_table(calendars[pool.nodes[0].node_id])
+        # Every built-in transfer model declares a uniform lag, so only
+        # a per-pair model reads the DP's lag memo: schedule with one.
+        CriticalWorksScheduler(pool, PairwiseLagModel(),
+                               context=generator.context).build_schedule(
+            jobs[0], calendars)
         snapshot = registry.snapshot()
 
     derived = derive_cache_stats(snapshot["counters"])

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.calendar import ReservationCalendar
-from repro.core.costs import VolumeOverTimeCost
+from repro.core.context import SchedulingContext
+from repro.core.costs import BalancedTimeCost, VolumeOverTimeCost
 from repro.core.critical_works import CriticalWorksScheduler
 from repro.core.dp import allocate_chain
 from repro.core.job import DataTransfer, Job, Task
@@ -17,6 +18,7 @@ from repro.analysis.verify import verify_strategy
 from repro.core.schedule import Placement, check_distribution
 from repro.core.strategy import StrategyGenerator, StrategyType
 from repro.core.transfers import NeutralTransferModel, transfer_time_fn
+from repro.core.units import ceil_div
 from repro.grid.data import ReplicationModel, default_policy_models
 from repro.perf import PERF
 from repro.workload.generator import generate_job
@@ -215,6 +217,89 @@ def test_feasible_chain_search_always_has_an_incumbent(
     for result in results[1:]:
         assert (result.cost, result.finish, result.placements) == (
             first.cost, first.finish, first.placements)
+
+
+class ScalarBalancedCost:
+    """A start-invariant model without ``task_cost_array``: every row
+    is priced through the scalar method."""
+
+    time_invariant = True
+
+    def task_cost(self, task, placement, node):
+        return placement.duration + 1.5 * ceil_div(task.volume,
+                                                   placement.duration)
+
+
+class PeakHourCost:
+    """A model that prices by wall-clock position, so it is not
+    start-invariant: the DP prices each expansion and never prunes."""
+
+    def task_cost(self, task, placement, node):
+        peak = 2 if placement.start % 10 < 5 else 0
+        return ceil_div(task.volume, placement.duration) + peak
+
+
+#: The pricing models the context-equivalence check runs under.
+COST_MODELS = {"cf": VolumeOverTimeCost(), "balanced": BalancedTimeCost(),
+               "scalar": ScalarBalancedCost(), "peak": PeakHourCost()}
+#: Examples of the context-equivalence check: 60 by default, 600 under
+#: ``dp-deep``.
+CONTEXT_EXAMPLES = settings.default.max_examples * 3 // 5
+
+
+@given(st.lists(st.tuples(task_specs, st.integers(0, 3)), min_size=1,
+                max_size=4),
+       loaded_pools(), st.integers(6, 40), st.integers(0, 5),
+       st.sampled_from(sorted(TRANSFER_MODELS)),
+       st.sampled_from(sorted(COST_MODELS)),
+       st.sampled_from(["cost", "time"]),
+       st.sampled_from([0.0, 0.5, 1.0]),
+       st.none() | st.sets(st.integers(1, MAX_POOL), min_size=1))
+@settings(max_examples=CONTEXT_EXAMPLES, deadline=None)
+def test_warm_context_matches_fresh_and_no_context(
+        specs, loaded, deadline, release, model_name, cost_name, objective,
+        level, allowed):
+    """A shared context warmed by the same job — other estimation
+    levels, another candidate node set, a sub-chain behind a fixed
+    predecessor — returns exactly what a fresh context and no context
+    return: placements, cost, finish and ``evaluations``."""
+    pool, calendars = loaded
+    if len(pool) > WIDE_POOL:
+        specs = specs[:3]
+    tasks = [Task(f"T{i}", volume=v, best_time=b, worst_time=b + slack)
+             for i, ((b, v, _), slack) in enumerate(specs)]
+    transfers = [DataTransfer(f"D{i}", f"T{i}", f"T{i+1}", base_time=lag)
+                 for i, ((_, _, lag), _) in enumerate(specs[:-1])]
+    job = Job("chain", tasks, transfers, deadline=deadline)
+    chain = list(job.tasks)
+    kwargs = dict(transfer_model=TRANSFER_MODELS[model_name],
+                  cost_model=COST_MODELS[cost_name], release=release,
+                  objective=objective)
+
+    def run(context, level=level, allowed=allowed, sub_chain=chain,
+            fixed=None):
+        result = allocate_chain(job, sub_chain, pool, calendars, deadline,
+                                level=level, allowed_nodes=allowed,
+                                fixed=fixed, context=context, **kwargs)
+        if result is None:
+            return None
+        return (result.placements, result.cost, result.finish,
+                result.evaluations)
+
+    warm = SchedulingContext()
+    for other in (0.0, 0.5, 1.0):
+        if other != level:
+            run(warm, level=other)
+    run(warm, allowed=None if allowed is not None
+        else set(pool.node_ids()[::2]))
+    if len(chain) > 1:
+        first = next(iter(pool))
+        duration = job.task(chain[0]).duration_on(first.performance, level)
+        run(warm, sub_chain=chain[1:], fixed={chain[0]: Placement(
+            chain[0], first.node_id, release, release + duration)})
+    expected = run(None)
+    assert run(SchedulingContext()) == expected
+    assert run(warm) == expected
 
 
 @given(st.integers(0, 500))
