@@ -37,7 +37,14 @@ die with it:
   the domain, each holding a handful of concrete strategies keyed on
   (release, domain epoch slice).  An exact variant hit is a free plan;
   a sibling with drifted epochs seeds an incremental *repair*
-  (warm-started regeneration, bit-identical to a cold replan).
+  (warm-started regeneration, bit-identical to a cold replan);
+* in front of it, the offer memo (:attr:`SchedulingContext.offers`)
+  decides a repeated arrival in one lookup: it maps (structural hash,
+  family, release, the version of every calendar the planner's
+  managers read) to the offer competition's answer: the winning
+  manager's index and every domain's strategy, or no offer at all.
+  Equal versions mean identical calendars, so a repeat is answered
+  exactly.
 
 The module also defines the :class:`Scheduler` protocol —
 ``schedule(job, pool, calendars, context=...) -> SchedulingOutcome`` —
@@ -86,6 +93,11 @@ DEFAULT_GAP_TABLE_CAPACITY = 8192
 DEFAULT_PLAN_CAPACITY = 64
 #: Concrete strategy variants retained per plan entry.
 DEFAULT_PLAN_VARIANTS = 8
+#: Offers (structure × family × release × calendar versions) retained
+#: by the offer memo.  Working sets: a sharded shard about 3 keys per
+#: window plus the transient keys of commit-time replans; the online
+#: template crowd about 4 keys per slot.
+DEFAULT_OFFER_CAPACITY = 64
 #: Distinct job structures whose per-job caches are retained: the jobs
 #: in flight (a handful online, 2 templates, one at a time in batch
 #: generation), so a structure's task tables go once it is done.
@@ -104,6 +116,7 @@ CONTEXT_CACHE_NAMES: Tuple[str, ...] = (
     "critical_works.rank_cache",
     "job.paths_cache",
     "flow.plan_cache",
+    "flow.offer_cache",
 )
 
 
@@ -345,6 +358,15 @@ class SchedulingContext:
         #: holding epoch-keyed concrete strategies), read through
         #: :func:`~repro.flow.sharding.plan_with_cache`.
         self.plans: PlanCache = PlanCache("flow.plan_cache", plan_capacity)
+        #: The offer memo in front of the plan cache, read by
+        #: :meth:`~repro.flow.sharding.ShardPlanner.plan`: (structural
+        #: hash, family, release, calendar versions in manager order)
+        #: -> (the winning manager's index or None, every domain's
+        #: strategy in manager order).
+        self.offers: LruCache[
+            Tuple[Any, ...],
+            Tuple[Optional[int], Tuple["Strategy", ...]]] = LruCache(
+                "flow.offer_cache", DEFAULT_OFFER_CAPACITY)
         self._gap_tables: LruCache[int, GapTable] = LruCache(
             "placement.gap_table", gap_table_capacity)
         #: Per-structure caches, LRU-keyed on the job's structural hash
@@ -494,7 +516,7 @@ class SchedulingContext:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SchedulingContext gaps={len(self._gap_tables)} "
-                f"plans={len(self.plans)} "
+                f"plans={len(self.plans)} offers={len(self.offers)} "
                 f"structs={len(self._struct_caches)}>")
 
 

@@ -36,21 +36,25 @@ __all__ = [
 class CostModel(Protocol):
     """Anything that can price a single task placement.
 
-    A model may additionally declare ``time_invariant = True`` to state
-    that :meth:`task_cost` depends only on the placement's *duration*,
-    never its start slot.  The DP kernel uses the declaration to price
-    candidate rows once and to bound partial chains during warm-started
-    search (:func:`repro.core.dp.allocate_chain`); models that price by
-    wall-clock position (peak-hour tariffs, say) must leave it unset.
+    A model whose :meth:`task_cost` depends only on the placement's
+    *duration*, never its start slot, may additionally provide
+    ``duration_cost(task, duration, node) -> float``: the cost of a
+    reservation of ``duration`` slots, with :meth:`task_cost`
+    delegating to it so both share one formula.  The DP kernel
+    (:func:`repro.core.dp.allocate_chain`) prices candidate rows
+    through it, once per (task, node), and uses its presence as the
+    declaration that costs are start-invariant, which bounding partial
+    chains requires.  Models that price by wall-clock position
+    (peak-hour tariffs, say) must not provide it.
 
-    Time-invariant models may also provide ``task_cost_array(task,
-    durations, nodes) -> np.ndarray`` — a vectorized :meth:`task_cost`
-    over per-node reservation lengths.  The DP uses it to price all of
-    a task's candidate nodes in one sweep when pruning needs every
-    row's price; the values must be
-    **bit-identical** to elementwise ``task_cost`` (same float
-    operations in the same order), because warm-started pruning mixes
-    the two.  Models without it are priced through the scalar method.
+    Such models may also provide ``task_cost_array(task, durations,
+    nodes) -> np.ndarray`` — a vectorized ``duration_cost`` over
+    per-node reservation lengths.  The DP uses it to price all of a
+    task's candidate nodes in one sweep when pruning needs every row's
+    price; the values must be **bit-identical** to elementwise
+    ``duration_cost`` (same float operations in the same order),
+    because pruning mixes the two.  Models without it are priced
+    through the scalar method.
 
     Models are **immutable**: every pricing parameter is fixed at
     construction.  The DP keeps each job's row prices in the session
@@ -72,17 +76,21 @@ class VolumeOverTimeCost:
     # session context scope caches by the model's identity.
     __slots__ = ("__weakref__",)
 
-    #: ``ceil(V_i / T_i)`` reads only the reservation length.
-    time_invariant = True
+    def duration_cost(self, task: Task, duration: int,
+                      node: ProcessorNode) -> float:
+        """``ceil(V_i / T_i)`` — the paper's per-task CF term, which
+        reads only the reservation length."""
+        return ceil_div(task.volume, duration)
 
     def task_cost(self, task: Task, placement: Placement,
                   node: ProcessorNode) -> float:
-        """``ceil(V_i / T_i)`` — the paper's per-task CF term."""
-        return ceil_div(task.volume, placement.duration)
+        """The CF term of the placement's reservation length."""
+        return self.duration_cost(task, placement.duration, node)
 
     def task_cost_array(self, task: Task, durations: np.ndarray,
                         nodes: Sequence[ProcessorNode]) -> np.ndarray:
-        """Vectorized :meth:`task_cost` — same float ops as ``ceil_div``."""
+        """Vectorized :meth:`duration_cost` — same float ops as
+        ``ceil_div``."""
         return np.ceil(task.volume / durations - EPSILON)
 
 
@@ -100,9 +108,6 @@ class BalancedTimeCost:
 
     __slots__ = ("_cf_weight", "__weakref__")
 
-    #: Wall time plus CF — both functions of the duration alone.
-    time_invariant = True
-
     def __init__(self, cf_weight: float = 2.5):
         if cf_weight < 0:
             raise ValueError(
@@ -114,15 +119,21 @@ class BalancedTimeCost:
         """The CF term's weight (read-only: cost models are immutable)."""
         return self._cf_weight
 
+    def duration_cost(self, task: Task, duration: int,
+                      node: ProcessorNode) -> float:
+        """Reserved wall time plus the weighted CF term — both
+        functions of the duration alone."""
+        return duration + self.cf_weight * ceil_div(task.volume, duration)
+
     def task_cost(self, task: Task, placement: Placement,
                   node: ProcessorNode) -> float:
-        """Reserved wall time plus the weighted CF term."""
-        return (placement.duration
-                + self.cf_weight * ceil_div(task.volume, placement.duration))
+        """The balanced cost of the placement's reservation length."""
+        return self.duration_cost(task, placement.duration, node)
 
     def task_cost_array(self, task: Task, durations: np.ndarray,
                         nodes: Sequence[ProcessorNode]) -> np.ndarray:
-        """Vectorized :meth:`task_cost` (durations + weighted CF term)."""
+        """Vectorized :meth:`duration_cost` (durations + weighted CF
+        term)."""
         return (durations
                 + self.cf_weight * np.ceil(task.volume / durations - EPSILON))
 

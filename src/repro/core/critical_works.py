@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..perf import PERF
 from .calendar import ReservationCalendar
-from .collisions import Collision, CollisionStats
+from .collisions import Collision
 from .context import SchedulingContext
 from .costs import CostModel, VolumeOverTimeCost, distribution_cost
 from .dp import allocate_chain
@@ -40,7 +40,12 @@ from .schedule import Distribution, Placement
 from .transfers import NeutralTransferModel, TransferModel
 
 __all__ = ["SchedulingOutcome", "CriticalWorksScheduler",
-           "ScheduleInvariantError"]
+           "ScheduleInvariantError", "DeadChains"]
+
+#: Chains proved infeasible within one strategy generation: (chain,
+#: candidate node set, deadline) -> the lowest level of the proof.
+DeadChains = dict[tuple[tuple[str, ...], Optional[frozenset[int]], int],
+                  float]
 
 
 class ScheduleInvariantError(AssertionError):
@@ -63,11 +68,6 @@ class SchedulingOutcome:
     level: float = 0.0
     cost: Optional[float] = None
     makespan: Optional[int] = None
-
-    @property
-    def collision_stats(self) -> CollisionStats:
-        """Collision tally by node group (Fig. 3b input)."""
-        return CollisionStats.of(self.collisions)
 
 
 class CriticalWorksScheduler:
@@ -177,7 +177,8 @@ class CriticalWorksScheduler:
                        calendars: Mapping[int, ReservationCalendar],
                        level: float = 0.0, release: int = 0,
                        warm_hint: Optional[Mapping[str, int]] = None,
-                       context: Optional[SchedulingContext] = None
+                       context: Optional[SchedulingContext] = None,
+                       dead_chains: Optional[DeadChains] = None
                        ) -> SchedulingOutcome:
         """Run the critical works method once at one estimation level.
 
@@ -193,6 +194,18 @@ class CriticalWorksScheduler:
 
         ``context`` overrides the scheduler's own
         :class:`~repro.core.context.SchedulingContext` for this call.
+
+        ``dead_chains`` is shared by the levels of one strategy
+        generation (:meth:`~repro.core.strategy.StrategyGenerator.
+        generate`): it maps (chain, candidate node set, deadline) to the
+        lowest level at which a phase-A allocation proved the chain
+        infeasible with nothing of the job placed.  At that level or a
+        higher one the chain fails at once instead of running the DP.
+        Durations never shrink with the level, lags and the base
+        calendars do not change, and placed tasks only add bounds, so
+        the DP would fail too; a failed DP call adds no evaluations and
+        no collisions, so the outcome is bit-identical to a call
+        without the map.
         """
         ctx = context if context is not None else self.context
         outcome = SchedulingOutcome(job_id=job.job_id, distribution=None,
@@ -206,13 +219,14 @@ class CriticalWorksScheduler:
 
         allowed = self._allowed_nodes(job)
         placed = self._attempt(job, calendars, deadline, level, release,
-                               outcome, allowed, warm_hint, ctx)
+                               outcome, allowed, warm_hint, ctx, dead_chains)
         if placed is None and allowed is not None:
             # The monopolized top-performance set could not host the job;
             # fall back to the whole pool (S3 keeps its coarse tasks and
             # static data policy but gives up the monopoly).
             placed = self._attempt(job, calendars, deadline, level,
-                                   release, outcome, None, warm_hint, ctx)
+                                   release, outcome, None, warm_hint, ctx,
+                                   dead_chains)
         if placed is None:
             return outcome
 
@@ -273,7 +287,8 @@ class CriticalWorksScheduler:
                  outcome: SchedulingOutcome,
                  allowed: Optional[frozenset[int]],
                  warm_hint: Optional[Mapping[str, int]],
-                 ctx: SchedulingContext
+                 ctx: SchedulingContext,
+                 dead_chains: Optional[DeadChains]
                  ) -> Optional[dict[str, Placement]]:
         """One full critical-works pass; None when the job cannot fit.
 
@@ -299,7 +314,8 @@ class CriticalWorksScheduler:
             for segment in _unassigned_segments(paths[index], placed):
                 if not self._place_segment(job, segment, calendars, working,
                                            placed, deadline, level, release,
-                                           outcome, allowed, hint, ctx):
+                                           outcome, allowed, hint, ctx,
+                                           dead_chains):
                     failed_segment = segment
                     break
             if failed_segment is None:
@@ -325,7 +341,8 @@ class CriticalWorksScheduler:
                     if not self._place_segment(job, segment, calendars,
                                                working, placed, deadline,
                                                level, release, outcome,
-                                               allowed, hint, ctx):
+                                               allowed, hint, ctx,
+                                               dead_chains):
                         return None
         if len(placed) != len(job.tasks):  # pragma: no cover - safety net
             return None
@@ -339,8 +356,15 @@ class CriticalWorksScheduler:
                        outcome: SchedulingOutcome,
                        allowed: Optional[frozenset[int]],
                        warm_hint: Optional[Mapping[str, int]],
-                       ctx: SchedulingContext) -> bool:
+                       ctx: SchedulingContext,
+                       dead_chains: Optional[DeadChains]) -> bool:
         """Allocate one run of unassigned tasks; returns False on failure."""
+        # A chain an earlier level proved dead fails at once (see
+        # ``build_schedule``).
+        dead_key = (tuple(segment), allowed, deadline)
+        if (dead_chains is not None
+                and dead_chains.get(dead_key, level + 1) <= level):
+            return False
         # Phase A: optimize the critical work against the base snapshot,
         # independently of this job's other critical works (this is what
         # makes collisions possible, as in the paper).
@@ -350,6 +374,8 @@ class CriticalWorksScheduler:
             release=release, allowed_nodes=allowed,
             objective=self.objective, hint=warm_hint, context=ctx)
         if tentative is None:
+            if dead_chains is not None and not placed:
+                dead_chains[dead_key] = level
             return False
         outcome.evaluations += tentative.evaluations
 
@@ -412,7 +438,7 @@ class CriticalWorksScheduler:
         for task_id in segment:
             working[placed.pop(task_id).node_id].release_tag(task_id)
         rest = (base, working, placed, deadline, level, release, outcome,
-                allowed, warm_hint, ctx)
+                allowed, warm_hint, ctx, dead_chains)
         return (self._place_segment(job, segment[:cut], *rest)
                 and self._place_segment(job, segment[cut:], *rest))
 

@@ -66,9 +66,9 @@ Branch-and-bound (every multi-task chain, hinted or not):
   feasibility are **bit-identical** to an unpruned search — only the
   number of state expansions (``evaluations`` / the ``dp.expansions``
   counter) shrinks.  For the ``"cost"`` objective pruning additionally
-  requires a start-time-invariant cost model (``time_invariant``
-  attribute, true for every built-in model); otherwise no incumbent is
-  built and the search is unpruned.
+  requires a start-time-invariant cost model (one with a
+  ``duration_cost`` method, as every built-in model has); otherwise no
+  incumbent is built and the search is unpruned.
 """
 
 from __future__ import annotations
@@ -215,11 +215,13 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     # Candidate rank is (cost, finish) or (finish, cost) per the chosen
     # objective; the comparison is branch-specialized in the DP loop.
     cost_mode = objective == "cost"
-    #: Start-time-invariant pricing (true for every built-in model)
-    #: makes per-(task, node) costs constants — the soundness
-    #: requirement for cost-objective lower bounds, and an opportunity
-    #: to price rows once instead of once per expansion.
-    invariant_cost = bool(getattr(cost_model, "time_invariant", False))
+    #: Start-time-invariant pricing (a ``duration_cost`` method, as
+    #: every built-in model has) makes per-(task, node) costs constants
+    #: — the soundness requirement for cost-objective lower bounds, and
+    #: an opportunity to price rows once, from their duration, instead
+    #: of once per expansion.
+    duration_cost = getattr(cost_model, "duration_cost", None)
+    invariant_cost = duration_cost is not None
 
     for earlier, later in zip(chain, chain[1:]):
         if job.transfer_between(earlier, later) is None:
@@ -507,11 +509,8 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
     def price_row(index: int, row: list) -> float:
         """The row's (start-invariant) cost, written back to the row and
         to the task table."""
-        task_id = chain[index]
-        row_cost = cost_model.task_cost(
-            tasks_by_index[index],
-            Placement(task_id, row[1], row[4], row[4] + row[3]), row[0])
-        entry = level_rows[task_id]
+        row_cost = duration_cost(tasks_by_index[index], row[3], row[0])
+        entry = level_rows[chain[index]]
         if entry[1] is None:
             entry[1] = [None] * len(nodes)
         entry[1][row[9]] = row_cost
@@ -619,7 +618,7 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             # The incumbent and lower bounds below touch every row's
             # price; models with a vectorized pricer fill a task's whole
             # price list in the table in one sweep instead of one
-            # Placement-building call per row (tolist() round-trips
+            # ``duration_cost`` call per row (tolist() round-trips
             # float64 exactly, so the values match price_row bit for
             # bit), once per (task, level, node set).
             cost_array_fn = getattr(cost_model, "task_cost_array", None)

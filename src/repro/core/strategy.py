@@ -29,7 +29,8 @@ from .calendar import ReservationCalendar
 from .collisions import Collision
 from .context import SchedulingContext
 from .costs import BalancedTimeCost, CostModel
-from .critical_works import CriticalWorksScheduler, SchedulingOutcome
+from .critical_works import (CriticalWorksScheduler, DeadChains,
+                             SchedulingOutcome)
 from .granularity import coarsen
 from .units import ceil_units
 from .job import Job
@@ -421,6 +422,8 @@ class StrategyGenerator:
         # agree on nodes, so the hinted incumbent prunes hard while
         # leaving the outcomes bit-identical.
         warm_hint: Optional[Mapping[str, int]] = None
+        # Chains a level proves dead stay dead at every higher level.
+        dead_chains: DeadChains = {}
         with PERF.timer("strategy.generate"):
             for level in spec.levels:
                 hint = warm_hint
@@ -432,7 +435,7 @@ class StrategyGenerator:
                     hint = seed_hints.get(level)
                 outcome = scheduler.build_schedule(
                     scheduled_job, calendars, level=level, release=release,
-                    warm_hint=hint)
+                    warm_hint=hint, dead_chains=dead_chains)
                 expense += outcome.evaluations
                 schedules.append(
                     SupportingSchedule(level=level, outcome=outcome))

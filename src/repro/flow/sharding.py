@@ -16,7 +16,9 @@ half of the flow layer, shared by both lanes through
 * :class:`ShardPlanner` — a set of domain managers over one
   :class:`~repro.core.context.SchedulingContext`, choosing the
   cheapest admissible offer: the offer competition behind
-  :meth:`~repro.flow.metascheduler.Metascheduler.plan_job`.
+  :meth:`~repro.flow.metascheduler.Metascheduler.plan_job`, with its
+  answers memoized exactly per (structure, family, release, calendar
+  versions) in the context's offer memo.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ class ShardPlanner:
                        context=self.context)
             for domain in domains
         ]
+        #: Every node the managers read, in manager order: the calendar
+        #: versions of the offer memo's key.
+        self._node_ids = tuple(node_id for manager in self.managers
+                               for node_id in manager.pool.node_ids())
 
     def plan(self, job: "Job", stype: "StrategyType", release: int,
              calendars: Mapping[int, ReservationCalendar]
@@ -157,17 +163,50 @@ class ShardPlanner:
         managers slice their own domains out.  Nothing is booked, and
         the offer's strategy is served from the plan cache as stored:
         it may still be bound to a template sibling of ``job``.
+
+        A repeat of an earlier call's exact inputs — the same structure,
+        family and release against the same calendar versions — is
+        answered from the context's offer memo (``flow.offer_cache``):
+        the same offer strategy, or None again.  Generation reads
+        nothing else and the competition is deterministic, so the memo
+        is exact.  It counts, per domain, the plan-cache hits and
+        rebinds the competition would have counted.  The memo stores
+        the winner's manager index, not the manager, so the context
+        holds no reference back to its planner.
         """
-        best: Optional[Tuple[JobManager, "Strategy"]] = None
+        key = (job.structural_hash, stype, release,
+               tuple([calendars[node_id].version
+                      for node_id in self._node_ids]))
+        offers = self.context.offers
+        memo = offers.get(key)
+        if memo is not None:
+            winner, strategies = memo
+            if PERF.enabled:
+                PERF.incr("flow.offer_cache_hits")
+                PERF.incr("flow.plan_cache_hits", len(strategies))
+                rebinds = sum(1 for strategy in strategies
+                              if strategy.job is not job)
+                if rebinds:
+                    PERF.incr("flow.plan_rebinds", rebinds)
+            if winner is None:
+                return None
+            return self.managers[winner], strategies[winner]
+        if PERF.enabled:
+            PERF.incr("flow.offer_cache_misses")
+        winner = None
         best_cost = float("inf")
-        for manager in self.managers:
+        planned: list["Strategy"] = []
+        for index, manager in enumerate(self.managers):
             strategy = plan_with_cache(manager, job, stype, release,
                                        calendars, self.context.plans)
+            planned.append(strategy)
             chosen = strategy.best_schedule()
             if chosen is None:
                 continue
             if chosen.outcome.cost < best_cost:
-                best = (manager, strategy)
+                winner = index
                 best_cost = chosen.outcome.cost
-        return best
-
+        offers[key] = (winner, tuple(planned))
+        if winner is None:
+            return None
+        return self.managers[winner], planned[winner]

@@ -71,19 +71,32 @@ Counter names reported by the kernel
     table from the reservation list — the former
     ``placement.gap_rebuilds``); ``placement.gap_table_evictions``
     counts LRU drops.
+``flow.offer_cache_hits`` / ``flow.offer_cache_misses``
+    The context's offer memo, read once per
+    :meth:`~repro.flow.sharding.ShardPlanner.plan` call before any
+    plan-cache read: keyed on (structural hash, family, release, the
+    version of every calendar the planner's managers read), it holds
+    the offer competition's answer, no offer included.  A hit decides
+    the arrival in one lookup; a miss runs the per-domain competition
+    below and stores its answer.  ``flow.offer_cache_evictions``
+    counts LRU drops.
 ``flow.plan_cache_hits`` / ``flow.plan_cache_misses``
     Metascheduler strategy reuse through the context's plan cache,
     keyed semantically: entries by (structural hash, family, domain),
     each holding concrete variants by (release, epoch slice).  A hit
     serves an identically structured plan against provably unchanged
-    calendars; a miss generates cold.  ``flow.plan_cache_evictions``
-    counts dropped entries and variants.
+    calendars; a miss generates cold.  Hits count domain plans served
+    by either tier: an offer-memo hit counts one plan-cache hit per
+    domain of the planner, as the competition it replaces would have.
+    ``flow.plan_cache_evictions`` counts dropped entries and variants.
 ``flow.plan_rebinds``
     Exact plan-cache hits whose cached strategy was generated for a
     *different* job (a template sibling with the same structural
     hash).  The cached strategy is served as is; only an offer whose
     variant is booked is re-tagged to the requesting job, without any
-    regeneration.  Always a subset of ``flow.plan_cache_hits``.
+    regeneration.  Always a subset of ``flow.plan_cache_hits``; an
+    offer-memo hit counts one per domain whose memoized strategy was
+    generated for another job.
 ``flow.plan_repairs``
     Warm repairs — the middle outcome between a hit and a miss: a
     same-structure variant exists but its release or epochs drifted,

@@ -68,10 +68,11 @@ def _verify_every_schedule():
         return
 
     def checked_build_schedule(self, job, calendars, level=0.0, release=0,
-                               warm_hint=None, context=None):
+                               warm_hint=None, context=None,
+                               dead_chains=None):
         outcome = original(self, job, calendars, level=level,
                            release=release, warm_hint=warm_hint,
-                           context=context)
+                           context=context, dead_chains=dead_chains)
         report = verify_outcome(
             job, outcome, self.pool, transfer_model=self.transfer_model,
             release=release, accounting_model=self.accounting_model)

@@ -1,6 +1,8 @@
 """Unit tests for the CF cost function and cost models."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.costs import (BalancedTimeCost, VolumeOverTimeCost,
                               distribution_cost)
@@ -65,3 +67,19 @@ def test_cost_models_are_immutable():
     assert balanced.cf_weight == 1.5
     with pytest.raises(AttributeError):
         VolumeOverTimeCost().scale = 2.0
+
+
+@given(st.floats(0.5, 500.0, allow_nan=False), st.integers(1, 400),
+       st.sampled_from([1.0, 0.5, 1 / 3]), st.integers(0, 50))
+def test_task_cost_is_duration_cost_of_the_reservation(volume, duration,
+                                                        performance, start):
+    """Both built-in models price a placement by its duration alone:
+    ``task_cost`` equals ``duration_cost`` of the reservation length,
+    wherever it starts (the DP prices rows through ``duration_cost``)."""
+    task = Task("T", volume=volume, best_time=1)
+    node = ProcessorNode(node_id=1, performance=performance)
+    placement = Placement("T", 1, start, start + duration)
+    for model in (VolumeOverTimeCost(), BalancedTimeCost(),
+                  BalancedTimeCost(0.0)):
+        assert model.task_cost(task, placement, node) == (
+            model.duration_cost(task, duration, node))

@@ -8,7 +8,8 @@ import pytest
 
 import repro.flow.sharding as sharding_module
 from repro.core.calendar import ReservationCalendar
-from repro.core.context import (DEFAULT_PLAN_VARIANTS, PlanCache,
+from repro.core.context import (DEFAULT_OFFER_CAPACITY,
+                                DEFAULT_PLAN_VARIANTS, PlanCache,
                                 SchedulingContext)
 from repro.core.job import Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
@@ -232,15 +233,18 @@ def test_vo_background_and_load_metrics():
 # ----------------------------------------------------------------------
 
 def test_live_strategies_are_bounded_by_the_plan_cache():
-    """Planning many distinct jobs keeps only what the plan cache
-    retains alive: managers hold no per-job strategies, so the live
-    ``Strategy`` count stays under the cache's bound instead of growing
-    with the number of jobs planned."""
+    """Planning many distinct jobs keeps only what the context's caches
+    retain alive: managers hold no per-job strategies, so the live
+    ``Strategy`` count is exactly what the plan cache and the offer memo
+    hold, and stays under their bounds instead of growing with the
+    number of jobs planned."""
     capacity = 4
     context = SchedulingContext(plan_capacity=capacity)
     scheduler = Metascheduler(GridEnvironment(two_domain_pool()),
                               context=context)
-    jobs = 60
+    bound = (capacity * DEFAULT_PLAN_VARIANTS
+             + DEFAULT_OFFER_CAPACITY * len(scheduler.managers))
+    jobs = bound + 40
     for index in range(jobs):
         job = Job(f"job{index}",
                   [Task("A", volume=20 + index, best_time=2),
@@ -249,8 +253,12 @@ def test_live_strategies_are_bounded_by_the_plan_cache():
         scheduler.plan_job(job, StrategyType.S1, 0)
     gc.collect()
     live = sum(1 for obj in gc.get_objects() if isinstance(obj, Strategy))
-    assert live <= capacity * DEFAULT_PLAN_VARIANTS < jobs
-    assert live == len(context.plans)
+    assert live <= bound < jobs
+    held = {id(strategy) for variants in context.plans._entries.values()
+            for strategy in variants.values()}
+    held.update(id(strategy) for _, strategies in context.offers.values()
+                for strategy in strategies)
+    assert live == len(held)
 
 
 def test_conflict_retries_validation():

@@ -1,5 +1,6 @@
 """Property-based tests for the DP allocator and the critical works method."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.core.job import DataTransfer, Job, Task
 from repro.core.resources import ProcessorNode, ResourcePool
 from repro.analysis.verify import verify_strategy
 from repro.core.schedule import Placement, check_distribution
-from repro.core.strategy import StrategyGenerator, StrategyType
+from repro.core.strategy import (STRATEGY_SPECS, StrategyGenerator,
+                                 StrategyType)
 from repro.core.transfers import NeutralTransferModel, transfer_time_fn
 from repro.core.units import ceil_div
 from repro.grid.data import ReplicationModel, default_policy_models
@@ -223,11 +225,11 @@ class ScalarBalancedCost:
     """A start-invariant model without ``task_cost_array``: every row
     is priced through the scalar method."""
 
-    time_invariant = True
+    def duration_cost(self, task, duration, node):
+        return duration + 1.5 * ceil_div(task.volume, duration)
 
     def task_cost(self, task, placement, node):
-        return placement.duration + 1.5 * ceil_div(task.volume,
-                                                   placement.duration)
+        return self.duration_cost(task, placement.duration, node)
 
 
 class PeakHourCost:
@@ -441,3 +443,117 @@ def test_skip_edges_hold_in_every_family(stype, job, loaded):
         strategy, pool,
         transfer_model=default_policy_models()[strategy.spec.policy])
     assert report.ok, report.summary()
+
+
+#: Examples per family of the dead-chain differential check: 40 by
+#: default, 400 under ``dp-deep``.
+DEAD_CHAIN_EXAMPLES = settings.default.max_examples * 2 // 5
+
+
+@st.composite
+def dag_jobs(draw):
+    """A small DAG whose deadline is often too tight for its longest
+    chains at the higher estimation levels: every task after the first
+    has one or two predecessors among the earlier tasks."""
+    size = draw(st.integers(2, 6))
+    tasks = []
+    for i in range(size):
+        best = draw(st.integers(1, 4))
+        tasks.append(Task(f"T{i}", volume=draw(st.integers(1, 40)),
+                          best_time=best,
+                          worst_time=best + draw(st.integers(0, 4))))
+    transfers = []
+    for dst in range(1, size):
+        for src in sorted(draw(st.sets(st.integers(0, dst - 1),
+                                       min_size=1, max_size=2))):
+            transfers.append(DataTransfer(
+                f"D{src}_{dst}", f"T{src}", f"T{dst}",
+                base_time=draw(st.integers(0, 3))))
+    return Job("dag", tasks, transfers, deadline=draw(st.integers(3, 40)))
+
+
+def outcome_fields(outcome):
+    """Every field of a scheduling outcome, the distribution flattened
+    to its job id, scenario and placements in order."""
+    fields = {field.name: getattr(outcome, field.name)
+              for field in dataclasses.fields(outcome)}
+    distribution = fields["distribution"]
+    if distribution is not None:
+        fields["distribution"] = (distribution.job_id, distribution.scenario,
+                                  list(distribution.placements.items()))
+    return fields
+
+
+def level_by_level(pool, job, calendars, stype, release, seed_hints):
+    """The reference for ``StrategyGenerator.generate``: one
+    ``build_schedule`` per level with the hints ``generate`` passes, and
+    no dead-chain map."""
+    scheduler = StrategyGenerator(pool).scheduler_for(stype)
+    outcomes = []
+    warm_hint = None
+    for level in STRATEGY_SPECS[stype].levels:
+        hint = warm_hint
+        if hint is None and seed_hints is not None:
+            hint = seed_hints.get(level)
+        outcome = scheduler.build_schedule(job, calendars, level=level,
+                                           release=release, warm_hint=hint)
+        outcomes.append(outcome)
+        if outcome.distribution is not None:
+            warm_hint = {p.task_id: p.node_id for p in outcome.distribution}
+    return outcomes
+
+
+@pytest.mark.parametrize("stype", list(StrategyType))
+@given(dag_jobs(), loaded_pools(), st.integers(0, 5), st.booleans())
+@settings(max_examples=DEAD_CHAIN_EXAMPLES, deadline=None)
+def test_dead_chain_skip_matches_level_by_level(stype, job, loaded, release,
+                                                seeded):
+    """``generate`` fails a chain an earlier level proved dead without
+    running the DP; every field of every supporting schedule, and the
+    generation expense, equal a level-by-level ``build_schedule`` run
+    given the same hints — repair seeds included — and no map."""
+    pool, calendars = loaded
+    seed_hints = None
+    if seeded:
+        # A stale plan's hints, as a plan-cache repair passes them.
+        empty = {node.node_id: ReservationCalendar() for node in pool}
+        seed_hints = StrategyGenerator(pool).generate(
+            job, empty, stype).level_hints()
+    strategy = StrategyGenerator(pool).generate(
+        job, calendars, stype, release=release, seed_hints=seed_hints)
+    reference = level_by_level(pool, strategy.scheduled_job, calendars,
+                               stype, release, seed_hints)
+    assert len(strategy.schedules) == len(reference)
+    for schedule, outcome in zip(strategy.schedules, reference):
+        assert outcome_fields(schedule.outcome) == outcome_fields(outcome)
+    assert strategy.generation_expense == sum(
+        outcome.evaluations for outcome in reference)
+
+
+def test_dead_chain_runs_the_dp_once(monkeypatch):
+    """A chain too long for the deadline at the best-case level is
+    proved dead once: ``generate`` runs one DP call where the
+    level-by-level reference runs one per level."""
+    import repro.core.critical_works as critical_works_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        result = allocate_chain(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(critical_works_module, "allocate_chain", counting)
+    job = Job("late", [Task("A", volume=10, best_time=3),
+                       Task("B", volume=10, best_time=3)],
+              [DataTransfer("D", "A", "B")], deadline=5)
+    pool = ResourcePool([ProcessorNode(node_id=1, performance=1.0),
+                         ProcessorNode(node_id=2, performance=0.5)])
+    calendars = {node.node_id: ReservationCalendar() for node in pool}
+    strategy = StrategyGenerator(pool).generate(job, calendars,
+                                                StrategyType.S1)
+    assert not strategy.admissible
+    assert calls == [None]
+    calls.clear()
+    level_by_level(pool, job, calendars, StrategyType.S1, 0, None)
+    assert calls == [None] * len(STRATEGY_SPECS[StrategyType.S1].levels)
