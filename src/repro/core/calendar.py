@@ -127,18 +127,6 @@ class ReservationCalendar:
         for reservation in sorted(reservations, key=lambda r: r.start):
             self.reserve(reservation.start, reservation.end, reservation.tag)
 
-    @property
-    def version(self) -> int:
-        """Monotonic content epoch; equal versions ⇒ identical contents.
-
-        Bumped (to a process-globally fresh value) by every mutation.
-        Copy-on-write clones share their parent's version until either
-        side mutates, so an unchanged node keeps one stable version
-        across what-if snapshots — the anchor for exact caching with
-        O(nodes touched) invalidation.
-        """
-        return self._version
-
     def _new_version(self) -> None:
         """Move to a fresh content version with an empty witness store.
 
@@ -147,8 +135,16 @@ class ReservationCalendar:
         version share it, and refcounting frees it once the last of them
         has mutated or died.
         """
+        #: Monotonic content epoch; equal versions ⇒ identical contents.
+        #: Bumped (to a process-globally fresh value) by every mutation.
+        #: Copy-on-write clones share their parent's version until either
+        #: side mutates, so an unchanged node keeps one stable version
+        #: across what-if snapshots — the anchor for exact caching with
+        #: O(nodes touched) invalidation.  A plain attribute, not a
+        #: property: the offer memo and the plan cache read it per node
+        #: on every decision.
         # lint: shared-state — process-local identity tokens, never shared
-        self._version = next(_VERSION_CLOCK)
+        self.version = next(_VERSION_CLOCK)
         # lint: context-cache — exact per-version memo, replaced on every version bump
         self._fit_memo: dict[tuple[int, int], FitWitnesses] = {}
 
@@ -176,7 +172,7 @@ class ReservationCalendar:
         clone._reservations = self._reservations
         clone._starts = self._starts
         clone._shared = True
-        clone._version = self._version
+        clone.version = self.version
         clone._fit_memo = self._fit_memo
         self._shared = True
         return clone
@@ -355,7 +351,7 @@ class ReservationCalendar:
             last_end = int(ends[-1])
         else:
             last_end = 0
-        return GapTable(version=self._version, gap_start=gap_start,
+        return GapTable(version=self.version, gap_start=gap_start,
                         gap_len=gap_end - gap_start, gap_end=gap_end,
                         last_end=last_end)
 

@@ -36,8 +36,7 @@ die with it:
   entries keyed on the job's structural hash, the strategy family and
   the domain, each holding a handful of concrete strategies keyed on
   (release, domain epoch slice).  An exact variant hit is a free plan;
-  a sibling with drifted epochs seeds an incremental *repair*
-  (warm-started regeneration, bit-identical to a cold replan);
+  anything else is generated cold;
 * in front of it, the offer memo (:attr:`SchedulingContext.offers`)
   decides a repeated arrival in one lookup: it maps (structural hash,
   family, release, the version of every calendar the planner's
@@ -193,21 +192,13 @@ class PlanCache:
     :data:`DEFAULT_PLAN_VARIANTS` concrete strategies, recency-ordered
     and keyed on (release, domain epoch slice).
 
-    Reuse has two grades, both read off the same entry:
-
-    * :meth:`lookup` — an **exact** variant: same release, unchanged
-      epoch slice over the domain's nodes.  Generation inputs are then
-      byte-identical and the stored strategy itself is served, still
-      bound to the job it was generated for; entries are never
-      rewritten for the job that reads them.  The flow layer rebinds
-      only the offer it books.
-    * :meth:`repair_seed` — a **stale sibling**: the freshest variant
-      of the entry, whatever its release/epochs.  Its per-level node
-      assignments seed a warm-started regeneration
-      (:meth:`~repro.core.strategy.StrategyGenerator.generate` with
-      ``seed_hints``), which patches only the tasks whose placements no
-      longer fit; exact branch-and-bound pruning keeps the repaired
-      plan bit-identical to a cold replan.
+    Reuse has one grade: :meth:`lookup` finds an **exact** variant —
+    same release, unchanged epoch slice over the domain's nodes.
+    Generation inputs are then byte-identical and the stored strategy
+    itself is served, still bound to the job it was generated for;
+    entries are never rewritten for the job that reads them.  The flow
+    layer rebinds only the offer it books, and generates cold on a
+    miss.
 
     The key is the *labelled* structure because label-sensitive
     tie-breaks in generation make reuse across relabelled jobs unsound.
@@ -243,7 +234,7 @@ class PlanCache:
         A hit requires the same labelled structure, the same release,
         and an unchanged epoch slice over the domain's nodes — the
         generation inputs are then byte-identical, so reuse is exact.
-        Callers count hits/repairs/misses; the cache itself does not.
+        Callers count hits and misses; the cache itself does not.
         """
         variants = self._entries.get((structural_hash, stype, domain))
         if variants is None:
@@ -253,19 +244,6 @@ class PlanCache:
         if strategy is not None:
             variants.move_to_end(key)
         return strategy
-
-    def repair_seed(self, structural_hash: str, stype: "StrategyType",
-                    domain: str) -> Optional["Strategy"]:
-        """The freshest same-structure variant, release/epochs ignored.
-
-        The returned strategy is (presumed) stale — its epochs drifted
-        or its release differs — and is only fit to *seed* a repair,
-        never to be served as a plan.
-        """
-        variants = self._entries.get((structural_hash, stype, domain))
-        if variants:
-            return next(reversed(variants.values()))
-        return None
 
     def store(self, structural_hash: str, stype: "StrategyType",
               domain: str, release: int, epochs: Tuple[int, ...],

@@ -163,12 +163,21 @@ class CriticalWorksScheduler:
         if PERF.enabled:
             PERF.incr("critical_works.rank_cache_misses")
         best_performance = self.pool.fastest().performance
-        scored = [
-            (job.chain_length(path, best_performance, level,
-                              transfer_time=self.transfer_model.estimate),
-             path)
-            for path in ctx.job_paths(job)
-        ]
+        # Each task's duration and each edge's lag once per ranking, not
+        # once per path through them; the sums are those of
+        # :meth:`~repro.core.job.Job.chain_length`, term for term.
+        durations = {task_id: task.duration_on(best_performance, level)
+                     for task_id, task in job.tasks.items()}
+        estimate = self.transfer_model.estimate
+        lags = {(transfer.src, transfer.dst): estimate(transfer)
+                for transfer in job.transfers}
+        scored = []
+        for path in ctx.job_paths(job):
+            length = durations[path[0]]
+            for earlier, later in zip(path, path[1:]):
+                length += lags[earlier, later]
+                length += durations[later]
+            scored.append((length, path))
         scored.sort(key=lambda item: (-item[0], item[1]))
         per_job[level] = scored
         return scored
@@ -176,7 +185,6 @@ class CriticalWorksScheduler:
     def build_schedule(self, job: Job,
                        calendars: Mapping[int, ReservationCalendar],
                        level: float = 0.0, release: int = 0,
-                       warm_hint: Optional[Mapping[str, int]] = None,
                        context: Optional[SchedulingContext] = None,
                        dead_chains: Optional[DeadChains] = None
                        ) -> SchedulingOutcome:
@@ -185,12 +193,6 @@ class CriticalWorksScheduler:
         ``calendars`` describe the environment load (background
         reservations of independent job flows); they are *not* mutated —
         booking the resulting distribution is the caller's decision.
-
-        ``warm_hint`` optionally maps task ids to node ids from an
-        adjacent estimation level's distribution; the DP's incumbent
-        descent tries those nodes first.  The outcome is bit-identical
-        with or without a hint — only ``evaluations`` (and the wall
-        time) changes.  See :func:`repro.core.dp.allocate_chain`.
 
         ``context`` overrides the scheduler's own
         :class:`~repro.core.context.SchedulingContext` for this call.
@@ -219,14 +221,13 @@ class CriticalWorksScheduler:
 
         allowed = self._allowed_nodes(job)
         placed = self._attempt(job, calendars, deadline, level, release,
-                               outcome, allowed, warm_hint, ctx, dead_chains)
+                               outcome, allowed, ctx, dead_chains)
         if placed is None and allowed is not None:
             # The monopolized top-performance set could not host the job;
             # fall back to the whole pool (S3 keeps its coarse tasks and
             # static data policy but gives up the monopoly).
             placed = self._attempt(job, calendars, deadline, level,
-                                   release, outcome, None, warm_hint, ctx,
-                                   dead_chains)
+                                   release, outcome, None, ctx, dead_chains)
         if placed is None:
             return outcome
 
@@ -286,7 +287,6 @@ class CriticalWorksScheduler:
                  deadline: int, level: float, release: int,
                  outcome: SchedulingOutcome,
                  allowed: Optional[frozenset[int]],
-                 warm_hint: Optional[Mapping[str, int]],
                  ctx: SchedulingContext,
                  dead_chains: Optional[DeadChains]
                  ) -> Optional[dict[str, Placement]]:
@@ -301,10 +301,6 @@ class CriticalWorksScheduler:
         working = {node.node_id: calendars[node.node_id].copy()
                    for node in self.pool}
         placed: dict[str, Placement] = {}
-        # Repairs release already-placed descendants; remembering their
-        # nodes keeps the retried (extended) segment warm-startable even
-        # where the adjacent level made different choices.
-        hint = dict(warm_hint) if warm_hint else None
         paths = [path for _, path in self.critical_works(job, level,
                                                          context=ctx)]
         repairs = 0
@@ -314,7 +310,7 @@ class CriticalWorksScheduler:
             for segment in _unassigned_segments(paths[index], placed):
                 if not self._place_segment(job, segment, calendars, working,
                                            placed, deadline, level, release,
-                                           outcome, allowed, hint, ctx,
+                                           outcome, allowed, ctx,
                                            dead_chains):
                     failed_segment = segment
                     break
@@ -327,9 +323,6 @@ class CriticalWorksScheduler:
             for task_id in descendants:
                 placement = placed.pop(task_id)
                 working[placement.node_id].release_tag(task_id)
-                if hint is None:
-                    hint = {}
-                hint[task_id] = placement.node_id
             repairs += 1
             # Retry the same path: the blocked segment now extends over
             # the released chain-descendants and co-allocates with them.
@@ -341,8 +334,7 @@ class CriticalWorksScheduler:
                     if not self._place_segment(job, segment, calendars,
                                                working, placed, deadline,
                                                level, release, outcome,
-                                               allowed, hint, ctx,
-                                               dead_chains):
+                                               allowed, ctx, dead_chains):
                         return None
         if len(placed) != len(job.tasks):  # pragma: no cover - safety net
             return None
@@ -355,7 +347,6 @@ class CriticalWorksScheduler:
                        deadline: int, level: float, release: int,
                        outcome: SchedulingOutcome,
                        allowed: Optional[frozenset[int]],
-                       warm_hint: Optional[Mapping[str, int]],
                        ctx: SchedulingContext,
                        dead_chains: Optional[DeadChains]) -> bool:
         """Allocate one run of unassigned tasks; returns False on failure."""
@@ -372,21 +363,12 @@ class CriticalWorksScheduler:
             job, segment, self.pool, base, deadline, level,
             self.transfer_model, self.cost_model, fixed=placed,
             release=release, allowed_nodes=allowed,
-            objective=self.objective, hint=warm_hint, context=ctx)
+            objective=self.objective, context=ctx)
         if tentative is None:
             if dead_chains is not None and not placed:
                 dead_chains[dead_key] = level
             return False
         outcome.evaluations += tentative.evaluations
-
-        # Phase A's own allocation is a far tighter incumbent for the
-        # phase-B re-plans below than the adjacent level's hint: it was
-        # optimized at *this* level and usually re-fits on the working
-        # calendars with a small shift past the collision.
-        segment_hint = dict(warm_hint) if warm_hint else {}
-        for tentative_placement in tentative.placements:
-            segment_hint[tentative_placement.task_id] = (
-                tentative_placement.node_id)
 
         pending = deque(tentative.placements)
         while pending:
@@ -417,14 +399,10 @@ class CriticalWorksScheduler:
                 job, remainder, self.pool, working, deadline, level,
                 self.transfer_model, self.cost_model, fixed=placed,
                 release=release, allowed_nodes=allowed,
-                objective=self.objective, hint=segment_hint,
-                context=ctx)
+                objective=self.objective, context=ctx)
             if resolved is None:
                 return False
             outcome.evaluations += resolved.evaluations
-            for resolved_placement in resolved.placements:
-                segment_hint[resolved_placement.task_id] = (
-                    resolved_placement.node_id)
             pending = deque(resolved.placements)
 
         # The DP's chain state holds only the previous task, so it can
@@ -438,7 +416,7 @@ class CriticalWorksScheduler:
         for task_id in segment:
             working[placed.pop(task_id).node_id].release_tag(task_id)
         rest = (base, working, placed, deadline, level, release, outcome,
-                allowed, warm_hint, ctx, dead_chains)
+                allowed, ctx, dead_chains)
         return (self._place_segment(job, segment[:cut], *rest)
                 and self._place_segment(job, segment[cut:], *rest))
 

@@ -40,7 +40,7 @@ Incremental generation (two orthogonal mechanisms, both exact):
   siblings index it instead of re-deriving it.  Tables hold no
   calendars and leave with their structure's LRU entry.
 
-Branch-and-bound (every multi-task chain, hinted or not):
+Branch-and-bound (every multi-task chain):
 
 * latest starts — before the search, one exact pass runs backward
   from the deadline and computes, for every task and candidate row,
@@ -57,18 +57,16 @@ Branch-and-bound (every multi-task chain, hinted or not):
   the ``"time"`` objective) over rows that can still complete the
   chain yields a feasible *incumbent*, which drives pruning of
   dominated partial chains; the latest starts make the descent
-  complete on every feasible chain.  ``hint`` — a warm start, e.g. the
-  adjacent estimation level's allocation — is tried first at every
-  step of that descent, so a hint that still fits seeds the incumbent
-  it describes.  Pruning is strict (``lower bound > incumbent``) with
-  admissible bounds, and memo entries track whether they are exact or
-  merely bound proofs, so the returned placements, cost, finish, and
-  feasibility are **bit-identical** to an unpruned search — only the
-  number of state expansions (``evaluations`` / the ``dp.expansions``
-  counter) shrinks.  For the ``"cost"`` objective pruning additionally
-  requires a start-time-invariant cost model (one with a
-  ``duration_cost`` method, as every built-in model has); otherwise no
-  incumbent is built and the search is unpruned.
+  complete on every feasible chain.  Pruning is strict (``lower bound
+  > incumbent``) with admissible bounds, and memo entries track
+  whether they are exact or merely bound proofs, so the returned
+  placements, cost, finish, and feasibility are **bit-identical** to an
+  unpruned search — only the number of state expansions
+  (``evaluations`` / the ``dp.expansions`` counter) shrinks.  For the
+  ``"cost"`` objective pruning additionally requires a
+  start-time-invariant cost model (one with a ``duration_cost``
+  method, as every built-in model has); otherwise no incumbent is
+  built and the search is unpruned.
 """
 
 from __future__ import annotations
@@ -129,8 +127,8 @@ class ChainAllocation:
     finish: int
     #: Number of DP state expansions actually performed — the strategy
     #: generation expense metric (S1 vs MS1 comparison in Section 4).
-    #: Branch-and-bound pruning (tighter with a warm ``hint``) removes
-    #: expansions while leaving the placements bit-identical.
+    #: Branch-and-bound pruning removes expansions while leaving the
+    #: placements bit-identical.
     evaluations: int
 
 
@@ -144,7 +142,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                    release: int = 0,
                    allowed_nodes: Optional[AbstractSet[int]] = None,
                    objective: str = "cost",
-                   hint: Optional[Mapping[str, int]] = None,
                    context: Optional[SchedulingContext] = None,
                    ) -> Optional[ChainAllocation]:
     """Allocate every task of ``chain`` or return None if infeasible.
@@ -181,14 +178,6 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         tie-break (the economic strategies S1/MS1/S3); ``"time"``
         minimizes finish time with cost as the tie-break (the paper's
         "fastest, most expensive, most accurate" S2 family).
-    hint:
-        Optional warm start: a ``task id -> node id`` mapping (e.g. the
-        adjacent estimation level's allocation) whose rows the
-        incumbent's greedy descent tries first at every step, when
-        they can still complete the chain.  Every feasible multi-task
-        chain is pruned against an incumbent either way; a good hint
-        only tightens it.  Results are identical to ``hint=None``;
-        only the expansion count may differ.
     context:
         The caller's :class:`~repro.core.context.SchedulingContext`,
         which holds the job's :class:`~repro.core.context.TaskTable`
@@ -540,18 +529,12 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
         return find_fit(row, start_bound)
 
     def greedy_incumbent() -> Optional[float]:
-        """Primary value of a hint-preferring greedy descent.
+        """Primary value of a greedy descent.
 
-        The incumbent of every pruned search.  Each step first re-tries
-        the task's own hinted row — a hint that still fits as a whole
-        is followed end to end, and when only some nodes kept their
-        slots, only the drifted remainder is re-chosen — and otherwise
-        takes the cheapest (cost mode) or earliest-finishing (time
-        mode) row that can still complete the chain.  This is what
-        makes plan repair incremental: a stale plan with one stolen
-        slot re-derives an incumbent that differs from the hint in
-        exactly the patched tasks.  Every step checks a row against its
-        latest start, so the descent never dead-ends on a chain the
+        The incumbent of every pruned search.  Each step takes the
+        cheapest (cost mode) or earliest-finishing (time mode) row that
+        can still complete the chain.  Every step checks a row against
+        its latest start, so the descent never dead-ends on a chain the
         latest-start pass kept: each step leaves some row of the next
         task feasible.  Incumbents only prune (exact bounds), so the
         returned allocation is bit-identical to an unpruned search's;
@@ -565,33 +548,22 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
             rows = candidates[task_id]
             chosen_row = None
             chosen_end = 0
-            hinted = hint.get(task_id) if hint is not None else None
-            if hinted is not None:
-                hinted_row = next((r for r in rows if r[1] == hinted),
-                                  None)
-                if hinted_row is not None:
-                    start = completing_start(hinted_row, index,
-                                             prev_node, ready)
-                    if start is not None:
-                        chosen_row = hinted_row
-                        chosen_end = start + hinted_row[3]
-            if chosen_row is None:
+            if cost_mode:
+                # Start-invariant prices: cheapest-first order, the
+                # first row that completes the chain wins the step.
+                rows = sorted(rows, key=lambda row: (
+                    row[6] if row[6] is not None
+                    else price_row(index, row)))
+            for row in rows:
+                start = completing_start(row, index, prev_node, ready)
+                if start is None:
+                    continue
+                end = start + row[3]
                 if cost_mode:
-                    # Start-invariant prices: cheapest-first order, the
-                    # first row that completes the chain wins the step.
-                    rows = sorted(rows, key=lambda row: (
-                        row[6] if row[6] is not None
-                        else price_row(index, row)))
-                for row in rows:
-                    start = completing_start(row, index, prev_node, ready)
-                    if start is None:
-                        continue
-                    end = start + row[3]
-                    if cost_mode:
-                        chosen_row, chosen_end = row, end
-                        break
-                    if chosen_row is None or end < chosen_end:
-                        chosen_row, chosen_end = row, end
+                    chosen_row, chosen_end = row, end
+                    break
+                if chosen_row is None or end < chosen_end:
+                    chosen_row, chosen_end = row, end
             if chosen_row is None:  # pragma: no cover - defensive
                 return None
             if cost_mode:
@@ -655,6 +627,8 @@ def allocate_chain(job: Job, chain: Sequence[str], pool: ResourcePool,
                     step = min((r[3] for r in rows), default=_INFINITY)
                 tail_lb[position] = step + tail_lb[position + 1]
             if PERF.enabled:
+                # Every incumbent built; the name predates the removal
+                # of warm starts and is kept for the counters' readers.
                 PERF.incr("dp.incumbents_warm")
         elif PERF.enabled:  # pragma: no cover - defensive, expected 0
             PERF.incr("dp.incumbents_cold")

@@ -69,13 +69,6 @@ class Task:
             raise ValueError(
                 f"worst_time ({self.worst_time}) must be >= best_time "
                 f"({self.best_time})")
-        # Durations are pure functions of the (frozen) estimates, and
-        # the DP asks for the same (performance, level) combinations on
-        # every state expansion — memoize them (not a dataclass field,
-        # so equality and repr are untouched).  Sanctioned outside the
-        # SchedulingContext: the memo is pure value-keyed state of an
-        # immutable object, with no invalidation to coordinate.
-        object.__setattr__(self, "_duration_cache", {})  # lint: context-cache
 
     def base_time(self, level: float = 0.0) -> int:
         """Base execution time at estimation ``level`` (0 = best, 1 = worst)."""
@@ -87,13 +80,7 @@ class Task:
 
     def duration_on(self, performance: float, level: float = 0.0) -> int:
         """Execution slots on a node of the given relative performance."""
-        cache: dict = self._duration_cache  # type: ignore[attr-defined]
-        key = (performance, level)
-        duration = cache.get(key)
-        if duration is None:
-            duration = scale_duration(self.base_time(level), performance)
-            cache[key] = duration
-        return duration
+        return scale_duration(self.base_time(level), performance)
 
     def duration_array(self, performances, level: float = 0.0):
         """Vectorized :meth:`duration_on` over many performances.

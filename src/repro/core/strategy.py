@@ -16,6 +16,11 @@ The paper's strategy families:
 * **S3** — coarse-grain computations, static data storage, full coverage;
 * **MS1** — S1 restricted to the best- and worst-case estimates only
   (cheaper to generate, less complete coverage of events).
+
+Generation runs the critical works method cold at every estimation
+level of the family: a strategy depends only on the job, the
+calendars, the family's configuration and the release, so MS1's two
+supporting schedules equal S1's levels 0 and 1 field by field.
 """
 
 from __future__ import annotations
@@ -238,22 +243,6 @@ class Strategy:
             collected.extend(schedule.outcome.collisions)
         return collected
 
-    def level_hints(self) -> dict[float, dict[str, int]]:
-        """Per-level task→node assignments, as warm-start seed hints.
-
-        The repair path feeds these to :meth:`StrategyGenerator.
-        generate` so a regeneration against drifted calendars starts
-        from this (stale) strategy's placements: the incumbent's greedy
-        descent keeps the tasks whose nodes kept their slots and only
-        re-chooses the drifted remainder.  Hints never change
-        results (exact pruning) — a hint that no longer fits merely
-        costs the search it would have saved.
-        """
-        return {s.level: {p.task_id: p.node_id
-                          for p in s.outcome.distribution}
-                for s in self.schedules
-                if s.outcome.distribution is not None}
-
     def rebind(self, job: Job) -> "Strategy":
         """This strategy re-addressed to a structurally identical job.
 
@@ -323,15 +312,6 @@ class StrategyGenerator:
         omitted, the Grid substrate's default models are used.
     cost_model:
         Placement pricing shared by all families (default: CF).
-    warm_start:
-        Pass each estimation level's DP the previous level's node
-        assignment as a ``hint``: the greedy descent that builds the
-        branch-and-bound incumbent tries those nodes first.  Every
-        multi-task chain is pruned either way; the hint only tightens
-        the incumbent.  Generated strategies are bit-identical either
-        way (the pruning is exact; see
-        :func:`repro.core.dp.allocate_chain`); warm starts only change
-        ``generation_expense`` and wall time.  On by default.
     context:
         The :class:`~repro.core.context.SchedulingContext` shared by
         every per-family scheduler the generator builds (one private
@@ -344,7 +324,6 @@ class StrategyGenerator:
                                                  TransferModel]] = None,
                  cost_model: Optional[CostModel] = None,
                  balanced_cf_weight: Optional[float] = None,
-                 warm_start: bool = True,
                  context: Optional[SchedulingContext] = None):
         self.pool = pool
         if policy_models is None:
@@ -354,7 +333,6 @@ class StrategyGenerator:
         #: CF weight of the S2 family's balanced criterion (None: the
         #: calibrated default of :class:`~repro.core.costs.BalancedTimeCost`).
         self.balanced_cf_weight = balanced_cf_weight
-        self.warm_start = warm_start
         #: Session cache layer shared by all family schedulers.
         self.context = context if context is not None else SchedulingContext()
         self._schedulers: dict[StrategyType, CriticalWorksScheduler] = {}
@@ -383,21 +361,14 @@ class StrategyGenerator:
 
     def generate(self, job: Job,
                  calendars: Mapping[int, ReservationCalendar],
-                 stype: StrategyType, release: int = 0,
-                 seed_hints: Optional[Mapping[float, Mapping[str, int]]]
-                 = None) -> Strategy:
+                 stype: StrategyType, release: int = 0) -> Strategy:
         """Build the strategy of family ``stype`` for ``job``.
 
         ``calendars`` snapshot the environment load; they are not
         mutated.  One supporting schedule is produced per estimation
-        level of the family.
-
-        ``seed_hints`` (per-level task→node maps, typically a stale
-        sibling strategy's :meth:`Strategy.level_hints`) warm-start the
-        *repair* path: a level with no fresh previous-level hint seeds
-        its DP from the stale assignment instead of starting cold.
-        Hints only prune — exact branch-and-bound bounds keep the
-        result bit-identical to a cold generation.
+        level of the family, each by a cold critical-works run, so the
+        strategy depends only on the job, the calendars, the family's
+        configuration and ``release``.
         """
         spec = STRATEGY_SPECS[stype]
         if not spec.coarse:
@@ -417,31 +388,16 @@ class StrategyGenerator:
         expense = 0
         # One ranking cache services all levels below: the scheduler
         # re-ranks critical works per level but enumerates the DAG once.
-        # With warm starts, each level additionally hints its DP with
-        # the previous level's node assignment — adjacent levels mostly
-        # agree on nodes, so the hinted incumbent prunes hard while
-        # leaving the outcomes bit-identical.
-        warm_hint: Optional[Mapping[str, int]] = None
         # Chains a level proves dead stay dead at every higher level.
         dead_chains: DeadChains = {}
         with PERF.timer("strategy.generate"):
             for level in spec.levels:
-                hint = warm_hint
-                if hint is None and seed_hints is not None and self.warm_start:
-                    # Repair seed: the stale sibling's assignment for
-                    # this same level (adjacent-level hints from *this*
-                    # run always take precedence — they saw the current
-                    # calendars).
-                    hint = seed_hints.get(level)
                 outcome = scheduler.build_schedule(
                     scheduled_job, calendars, level=level, release=release,
-                    warm_hint=hint, dead_chains=dead_chains)
+                    dead_chains=dead_chains)
                 expense += outcome.evaluations
                 schedules.append(
                     SupportingSchedule(level=level, outcome=outcome))
-                if self.warm_start and outcome.distribution is not None:
-                    warm_hint = {p.task_id: p.node_id
-                                 for p in outcome.distribution}
 
         return Strategy(job=job, scheduled_job=scheduled_job, stype=stype,
                         schedules=schedules, generation_expense=expense)

@@ -59,22 +59,15 @@ class JobManager:
 
     def plan(self, job: Job,
              calendars: Mapping[int, ReservationCalendar],
-             stype: StrategyType, release: int = 0,
-             seed_hints: Optional[Mapping[float,
-                                          Mapping[str, int]]] = None
-             ) -> Strategy:
+             stype: StrategyType, release: int = 0) -> Strategy:
         """Build a strategy for a job on this domain.
 
         ``calendars`` may cover the whole VO; only this domain's node
-        calendars are consulted.  ``seed_hints`` (a stale sibling
-        strategy's per-level assignments) warm-start an incremental
-        repair; see :meth:`~repro.core.strategy.StrategyGenerator.
-        generate`.
+        calendars are consulted.
         """
         local = {node.node_id: calendars[node.node_id]
                  for node in self.pool}
-        return self.generator.generate(job, local, stype, release=release,
-                                       seed_hints=seed_hints)
+        return self.generator.generate(job, local, stype, release=release)
 
     def resource_requests(self, strategy: Strategy) -> list[ResourceRequest]:
         """The requests sent to local batch systems for the chosen

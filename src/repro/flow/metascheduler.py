@@ -236,7 +236,7 @@ class Metascheduler:
             # Every variant was stolen between planning and commitment;
             # re-plan against the drifted calendars.  Managers whose
             # domains are untouched hit the plan cache exactly and only
-            # re-offer; the drifted domain repairs its own stale plan.
+            # re-offer; the drifted domain plans afresh.
             reallocations = record.reallocations
             replans += 1
             planned = self.plan_job(job, stype, planned.release)

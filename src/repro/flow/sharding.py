@@ -11,8 +11,8 @@ half of the flow layer, shared by both lanes through
   property-tested in ``tests/property/test_shard_partition.py``), one
   metascheduler per shard in the sharded lane
   (:mod:`repro.flow.sharded`);
-* :func:`plan_with_cache` — the flow layer's graded plan-cache read
-  (exact hit → warm repair → cold generation) and its counters;
+* :func:`plan_with_cache` — the flow layer's plan-cache read (an
+  exact hit, else cold generation) and its counters;
 * :class:`ShardPlanner` — a set of domain managers over one
   :class:`~repro.core.context.SchedulingContext`, choosing the
   cheapest admissible offer: the offer competition behind
@@ -71,7 +71,7 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
     """Plan one job on one manager through the semantic plan cache.
 
     Every offer of :meth:`ShardPlanner.plan` is read here, so both
-    lanes count reuse identically.  Reads resolve in three grades:
+    lanes count reuse identically.  A read resolves one of two ways:
 
     * **exact hit** (``flow.plan_cache_hits``) — a variant with the
       same structural hash, the same release, and an unchanged epoch
@@ -82,12 +82,8 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
       under the caller's job id is made only when a variant of the
       offer is booked (:meth:`~repro.core.strategy.Strategy.rebind`
       in the metascheduler's commit), never here;
-    * **warm repair** (``flow.plan_repairs``) — a same-structure
-      variant exists but its release/epochs drifted; its per-level
-      assignments seed a warm-started regeneration that re-searches
-      only what no longer fits, bit-identical to a cold replan;
-    * **cold miss** (``flow.plan_cache_misses``) — generate with no
-      seed at all.
+    * **miss** (``flow.plan_cache_misses``) — no variant matches, and
+      the strategy is generated cold.
 
     The domain's epoch slice is read off ``calendars``: snapshot copies
     share content versions with their masters — the same values
@@ -110,16 +106,9 @@ def plan_with_cache(manager: JobManager, job: "Job", stype: "StrategyType",
                 # epochs — only the recorded job identity differs.
                 PERF.incr("flow.plan_rebinds")
         return cached
-    seed = plans.repair_seed(structural_hash, stype, manager.domain)
-    seed_hints = None
-    if seed is not None:
-        if PERF.enabled:
-            PERF.incr("flow.plan_repairs")
-        seed_hints = seed.level_hints()
-    elif PERF.enabled:
+    if PERF.enabled:
         PERF.incr("flow.plan_cache_misses")
-    strategy = manager.plan(job, calendars, stype, release=release,
-                            seed_hints=seed_hints)
+    strategy = manager.plan(job, calendars, stype, release=release)
     plans.store(structural_hash, stype, manager.domain, release, epochs,
                 strategy)
     return strategy

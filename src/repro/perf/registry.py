@@ -30,10 +30,9 @@ Counter names reported by the kernel
 ``dp.expansions``
     DP state expansions actually performed.  The paper's
     strategy-generation expense metric (``evaluations``) counts the
-    same events; branch-and-bound pruning (tighter with a warm-start
-    hint) and the latest-start pass, which keeps the search off states
-    with no feasible tail, remove some of them while the schedules stay
-    bit-identical.
+    same events; branch-and-bound pruning and the latest-start pass,
+    which keeps the search off states with no feasible tail, remove
+    some of them while the schedules stay bit-identical.
 ``dp.pruned``
     Candidate transitions discarded by branch-and-bound bounds (work an
     unpruned search would have expanded).
@@ -41,7 +40,9 @@ Counter names reported by the kernel
     Multi-task chain searches that found a feasible incumbent to prune
     with vs. searches that found none and ran unpruned (defensive;
     expected 0: the latest-start pass keeps only rows that can complete
-    the chain, so the greedy descent never dead-ends).  Chains the
+    the chain, so the greedy descent never dead-ends).  The names
+    predate the removal of warm starts: ``dp.incumbents_warm`` counts
+    every incumbent built, all of them by the cold greedy descent.  Chains the
     latest-start pass proves infeasible, and cost-objective chains
     under a cost model that is not start-invariant, count in neither.
     Deliberately *not* a ``*_hits``/``*_misses``
@@ -65,7 +66,8 @@ Counter names reported by the kernel
     this (level, candidate node set) were already in the table, a miss
     when one vectorized sweep filled them.
 ``dp.warm_fallbacks``
-    Warm runs that fell back to a cold pass (defensive; expected 0).
+    Pruned searches that fell back to an unpruned pass (defensive;
+    expected 0).
 ``placement.gap_table_hits`` / ``placement.gap_table_misses``
     The context's version-keyed gap-table cache (a miss derives the
     table from the reservation list — the former
@@ -96,14 +98,8 @@ Counter names reported by the kernel
     variant is booked is re-tagged to the requesting job, without any
     regeneration.  Always a subset of ``flow.plan_cache_hits``; an
     offer-memo hit counts one per domain whose memoized strategy was
-    generated for another job.
-``flow.plan_repairs``
-    Warm repairs — the middle outcome between a hit and a miss: a
-    same-structure variant exists but its release or epochs drifted,
-    so its per-level assignments seed a warm-started regeneration that
-    re-searches only what no longer fits (bit-identical to a cold
-    replan).  The plan-cache *reuse rate* the flow tests floor is
-    (hits + repairs) / (hits + repairs + misses).
+    generated for another job.  The plan-cache *reuse rate* the flow
+    tests floor is hits / (hits + misses).
 ``critical_works.rank_cache_hits`` / ``..._misses``
     Reuse of the context's per-(job, model, pool, level) critical-works
     ranking.

@@ -49,10 +49,11 @@ from repro.flow.metascheduler import Metascheduler
 from repro.flow.simulation import OnlineSimulation
 
 #: ``pytest --hypothesis-profile dp-deep`` runs the exhaustive DP
-#: reference check, the warm-context equivalence check and the
-#: skip-edge check of tests/property/test_dp_properties.py at ten
-#: times their default examples (600 instead of 60, and 400 instead of
-#: 40 per family; all scale with the profile), and the ``latest_fit``
+#: reference check, the warm-context equivalence check, the skip-edge
+#: check and the generation-inputs check of
+#: tests/property/test_dp_properties.py at ten times their default
+#: examples (600 instead of 60, 400 instead of 40 per family, and 200
+#: instead of 20; all scale with the profile), and the ``latest_fit``
 #: reference check of tests/property/test_calendar_reference.py at
 #: 1000 instead of 100.
 #: Nothing loads it by default.
@@ -68,11 +69,10 @@ def _verify_every_schedule():
         return
 
     def checked_build_schedule(self, job, calendars, level=0.0, release=0,
-                               warm_hint=None, context=None,
-                               dead_chains=None):
+                               context=None, dead_chains=None):
         outcome = original(self, job, calendars, level=level,
-                           release=release, warm_hint=warm_hint,
-                           context=context, dead_chains=dead_chains)
+                           release=release, context=context,
+                           dead_chains=dead_chains)
         report = verify_outcome(
             job, outcome, self.pool, transfer_model=self.transfer_model,
             release=release, accounting_model=self.accounting_model)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.verify import verify_coallocation, verify_distribution
 from repro.core.calendar import ReservationCalendar
-from repro.core.context import PlanCache
 from repro.core.schedule import Distribution, Placement
 from repro.core.strategy import STRATEGY_SPECS, Strategy, StrategyType
 from repro.flow.sharded import (ShardedConfig, ShardedOutcome,
@@ -95,24 +94,6 @@ def test_commits_only_touch_the_jobs_own_shard():
         assert outcome.shard == outcome.index % len(simulation.metaschedulers)
 
 
-def test_repair_seeds_are_bit_identical(monkeypatch):
-    """Turning every warm repair into a cold miss must not change any
-    schedule.
-
-    Repair seeds only warm-start the DP; exact pruning discards hints
-    that no longer fit, so outcomes are independent of whether the
-    cache seeded anything.
-    """
-    with PERF.collecting() as registry:
-        with_repairs = run_sharded(shards=2, jobs=150)
-        repairs = registry.counters.get("flow.plan_repairs", 0)
-    assert repairs > 0
-    monkeypatch.setattr(PlanCache, "repair_seed",
-                        lambda self, structural_hash, stype, domain: None)
-    without_repairs = run_sharded(shards=2, jobs=150)
-    assert without_repairs.digest() == with_repairs.digest()
-
-
 def test_stats_merge_all_shard_contexts():
     simulation = run_sharded(shards=4, jobs=100)
     assert len(simulation.metaschedulers) == 4
@@ -129,15 +110,15 @@ def test_admission_rate_matches_outcomes():
 def test_template_stream_reuse_floor():
     """Windowed template arrivals are served almost entirely from cache.
 
-    Within a window, siblings of one template hit exactly; across
-    windows they at worst repair, so only the first (template, family,
-    domain) probe of a window may miss.
+    Within a window, siblings of one template hit exactly; a (template,
+    family, domain) read misses only when its release or the domain's
+    calendars moved since the variant was planned.  The reuse rate is
+    hits / reads.
     """
     with PERF.collecting() as registry:
         run_sharded(shards=4, jobs=400)
         counters = dict(registry.counters)
-    reused = (counters.get("flow.plan_cache_hits", 0)
-              + counters.get("flow.plan_repairs", 0))
+    reused = counters.get("flow.plan_cache_hits", 0)
     reads = reused + counters.get("flow.plan_cache_misses", 0)
     assert reused / reads >= 0.80
 

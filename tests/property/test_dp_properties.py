@@ -146,21 +146,14 @@ def brute_force(job, chain, pool, calendars, deadline, release,
     return best
 
 
-#: Warm-start hints: none, or task ids mapped to node ids, some of them
-#: outside the drawn pool.
-hints = st.none() | st.dictionaries(
-    st.sampled_from(["T0", "T1", "T2", "T3"]),
-    st.integers(1, MAX_POOL + 1))
-
-
 @given(chain_specs, loaded_pools(), st.integers(3, 40), st.integers(0, 5),
        st.sampled_from(sorted(TRANSFER_MODELS)),
-       st.sampled_from(["cost", "time"]), hints)
+       st.sampled_from(["cost", "time"]))
 @settings(max_examples=BRUTE_FORCE_EXAMPLES, deadline=None)
 def test_dp_matches_brute_force(specs, loaded, deadline, release,
-                                model_name, objective, hint):
+                                model_name, objective):
     """The DP returns exactly the exhaustive search's answer — cost,
-    finish and placements — with or without a hint, feasible or not.
+    finish and placements — feasible or not.
     Pruned searches are checked here against the only unpruned one."""
     pool, calendars = loaded
     if len(pool) > WIDE_POOL:
@@ -170,7 +163,7 @@ def test_dp_matches_brute_force(specs, loaded, deadline, release,
     model = TRANSFER_MODELS[model_name]
     result = allocate_chain(job, chain, pool, calendars, deadline,
                             transfer_model=model, release=release,
-                            objective=objective, hint=hint)
+                            objective=objective)
     expected = brute_force(job, chain, pool, calendars, deadline, release,
                            model, objective)
     if expected is None:
@@ -183,42 +176,27 @@ def test_dp_matches_brute_force(specs, loaded, deadline, release,
 @given(st.lists(task_specs, min_size=2, max_size=4),
        loaded_pools(), st.integers(8, 60), st.integers(0, 5),
        st.sampled_from(sorted(TRANSFER_MODELS)),
-       st.sampled_from(["cost", "time"]),
-       st.dictionaries(st.sampled_from(["T0", "T1", "T2", "T3"]),
-                       st.integers(1, MAX_POOL + 1), min_size=1))
+       st.sampled_from(["cost", "time"]))
 @settings(max_examples=BRUTE_FORCE_EXAMPLES, deadline=None)
 def test_feasible_chain_search_always_has_an_incumbent(
-        specs, loaded, deadline, release, model_name, objective, junk):
+        specs, loaded, deadline, release, model_name, objective):
     """On a feasible multi-task chain under a start-invariant cost
     model, the greedy descent never dead-ends and the pruned search
-    never falls back to a cold pass — with no hint, with the chain's
-    own allocation as the hint, or with a junk hint — and all three
-    return the same allocation."""
+    never falls back to an unpruned pass."""
     pool, calendars = loaded
     job = build_chain_job(specs, deadline)
     chain = list(job.tasks)
     model = TRANSFER_MODELS[model_name]
-    results = []
-    for hint in (None, "good", junk):
-        if hint == "good":
-            if results[0] is None:
-                return
-            hint = {p.task_id: p.node_id for p in results[0].placements}
-        with PERF.collecting() as registry:
-            result = allocate_chain(job, chain, pool, calendars, deadline,
-                                    transfer_model=model, release=release,
-                                    objective=objective, hint=hint)
-            counters = dict(registry.counters)
-        results.append(result)
-        if result is None:
-            return
-        assert counters.get("dp.incumbents_cold", 0) == 0
-        assert counters.get("dp.warm_fallbacks", 0) == 0
-        assert counters["dp.incumbents_warm"] == 1
-    first = results[0]
-    for result in results[1:]:
-        assert (result.cost, result.finish, result.placements) == (
-            first.cost, first.finish, first.placements)
+    with PERF.collecting() as registry:
+        result = allocate_chain(job, chain, pool, calendars, deadline,
+                                transfer_model=model, release=release,
+                                objective=objective)
+        counters = dict(registry.counters)
+    if result is None:
+        return
+    assert counters.get("dp.incumbents_cold", 0) == 0
+    assert counters.get("dp.warm_fallbacks", 0) == 0
+    assert counters["dp.incumbents_warm"] == 1
 
 
 class ScalarBalancedCost:
@@ -484,45 +462,28 @@ def outcome_fields(outcome):
     return fields
 
 
-def level_by_level(pool, job, calendars, stype, release, seed_hints):
+def level_by_level(pool, job, calendars, stype, release):
     """The reference for ``StrategyGenerator.generate``: one
-    ``build_schedule`` per level with the hints ``generate`` passes, and
-    no dead-chain map."""
+    ``build_schedule`` per level, and no dead-chain map."""
     scheduler = StrategyGenerator(pool).scheduler_for(stype)
-    outcomes = []
-    warm_hint = None
-    for level in STRATEGY_SPECS[stype].levels:
-        hint = warm_hint
-        if hint is None and seed_hints is not None:
-            hint = seed_hints.get(level)
-        outcome = scheduler.build_schedule(job, calendars, level=level,
-                                           release=release, warm_hint=hint)
-        outcomes.append(outcome)
-        if outcome.distribution is not None:
-            warm_hint = {p.task_id: p.node_id for p in outcome.distribution}
-    return outcomes
+    return [scheduler.build_schedule(job, calendars, level=level,
+                                     release=release)
+            for level in STRATEGY_SPECS[stype].levels]
 
 
 @pytest.mark.parametrize("stype", list(StrategyType))
-@given(dag_jobs(), loaded_pools(), st.integers(0, 5), st.booleans())
+@given(dag_jobs(), loaded_pools(), st.integers(0, 5))
 @settings(max_examples=DEAD_CHAIN_EXAMPLES, deadline=None)
-def test_dead_chain_skip_matches_level_by_level(stype, job, loaded, release,
-                                                seeded):
+def test_dead_chain_skip_matches_level_by_level(stype, job, loaded, release):
     """``generate`` fails a chain an earlier level proved dead without
     running the DP; every field of every supporting schedule, and the
     generation expense, equal a level-by-level ``build_schedule`` run
-    given the same hints — repair seeds included — and no map."""
+    with no map."""
     pool, calendars = loaded
-    seed_hints = None
-    if seeded:
-        # A stale plan's hints, as a plan-cache repair passes them.
-        empty = {node.node_id: ReservationCalendar() for node in pool}
-        seed_hints = StrategyGenerator(pool).generate(
-            job, empty, stype).level_hints()
     strategy = StrategyGenerator(pool).generate(
-        job, calendars, stype, release=release, seed_hints=seed_hints)
+        job, calendars, stype, release=release)
     reference = level_by_level(pool, strategy.scheduled_job, calendars,
-                               stype, release, seed_hints)
+                               stype, release)
     assert len(strategy.schedules) == len(reference)
     for schedule, outcome in zip(strategy.schedules, reference):
         assert outcome_fields(schedule.outcome) == outcome_fields(outcome)
@@ -555,5 +516,47 @@ def test_dead_chain_runs_the_dp_once(monkeypatch):
     assert not strategy.admissible
     assert calls == [None]
     calls.clear()
-    level_by_level(pool, job, calendars, StrategyType.S1, 0, None)
+    level_by_level(pool, job, calendars, StrategyType.S1, 0)
     assert calls == [None] * len(STRATEGY_SPECS[StrategyType.S1].levels)
+
+
+#: Examples of the generation-inputs check: 20 by default, 200 under
+#: ``dp-deep``.
+GENERATION_INPUT_EXAMPLES = settings.default.max_examples // 5
+
+
+def fresh_calendars(calendars):
+    """Equal calendars under new content versions, so no fit witness
+    computed on ``calendars`` serves them."""
+    return {node_id: ReservationCalendar(calendar.reservations)
+            for node_id, calendar in calendars.items()}
+
+
+@given(st.integers(0, 2 ** 32 - 1), loaded_pools(), st.integers(0, 5))
+@settings(max_examples=GENERATION_INPUT_EXAMPLES, deadline=None)
+def test_strategies_depend_only_on_generation_inputs(seed, loaded, release):
+    """Every level is generated cold, so a strategy depends only on the
+    job, the calendars, the family's configuration and the release.  A
+    generator warm from another job and from every family returns what
+    a fresh generator returns on fresh calendars, field by field, with
+    ``evaluations`` and ``generation_expense``; and MS1's two
+    supporting schedules equal S1's levels 0 and 1."""
+    pool, calendars = loaded
+    rng = np.random.default_rng(seed)
+    other, job = generate_job(rng, 0), generate_job(rng, 1)
+    warm = StrategyGenerator(pool)
+    for stype in StrategyType:
+        warm.generate(other, calendars, stype, release=release)
+    outcomes = {}
+    for stype in StrategyType:
+        strategy = warm.generate(job, calendars, stype, release=release)
+        fresh = StrategyGenerator(pool).generate(
+            job, fresh_calendars(calendars), stype, release=release)
+        outcomes[stype] = {schedule.level: outcome_fields(schedule.outcome)
+                           for schedule in strategy.schedules}
+        assert outcomes[stype] == {
+            schedule.level: outcome_fields(schedule.outcome)
+            for schedule in fresh.schedules}
+        assert strategy.generation_expense == fresh.generation_expense
+    for level, fields in outcomes[StrategyType.MS1].items():
+        assert fields == outcomes[StrategyType.S1][level]
